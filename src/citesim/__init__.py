@@ -17,18 +17,7 @@ from .distribution import (
     sample,
     sample_citations,
 )
-from .indicators import (
-    COUNTRY_1,
-    COUNTRY_2,
-    REST,
-    IndicatorSet,
-    WorldReplicate,
-    arithmetic_mean,
-    country_indicators,
-    geometric_mean_offset,
-    threshold_credit,
-    top_credit,
-)
+from .indicators import threshold_credit, top_credit
 from .intervals import (
     Interval,
     SimilarityInput,

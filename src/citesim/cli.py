@@ -16,7 +16,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -32,6 +32,7 @@ from .experiment import (
     run_sweep,
     summarize,
     total_draws,
+    validate_grid,
 )
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "emit_reports", "main"]
@@ -41,22 +42,12 @@ log = logging.getLogger(__name__)
 MODES = ("sweep", "table1", "table2", "figure1", "appendix", "table4")
 THREADS_ENV = "CITESIM_THREADS"
 
-_CONFIG_KEYS = {
-    "mode",
-    "mu_values",
-    "mu_range",
-    "p_values",
-    "n_values",
-    "sigma",
-    "mu_overall",
-    "replicates",
-    "master_seed",
-    "threads",
-    "output_dir",
-}
+# The appendix demo's fixed inputs: country sizes, world size and the
+# location both countries share.
+_APPENDIX_DEMO = {"sample1_size": 75, "sample2_size": 25, "world_size": 500, "mu": 0.9}
 # Keys a manifest.json echoes beyond the inputs, so a manifest can be fed
 # straight back through --config to reproduce a run.
-_MANIFEST_ECHO_KEYS = {"version", "configurations", "total_draws"}
+_MANIFEST_ECHO_KEYS = {"version", "configurations", "total_draws", *_APPENDIX_DEMO}
 
 
 class ConfigError(ValueError):
@@ -92,18 +83,17 @@ class RunConfig:
             )
         if self.threads < 0:
             raise ConfigError("threads: must be >= 0 (0 selects the CPU count)")
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma: must be positive, got {self.sigma}")
-        for key in ("mu_values", "p_values", "n_values"):
-            values = getattr(self, key)
-            if not values:
-                raise ConfigError(f"{key}: must not be empty")
-            if any(not math.isfinite(v) for v in values):
-                raise ConfigError(f"{key}: values must be finite")
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise ConfigError(f"{key}: values must be strictly increasing")
+        try:
+            validate_grid(self.mu_values, self.p_values, self.n_values,
+                          self.sigma, self.mu_overall)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.output_dir.exists() and not self.output_dir.is_dir():
             raise ConfigError(f"output_dir: {self.output_dir} exists and is not a directory")
+
+
+# Config-file keys: every RunConfig field, plus mu_range as an alternative to mu_values.
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"mu_range"}
 
 
 def _expand_range(key: str, bounds) -> tuple:
@@ -297,7 +287,11 @@ def emit_reports(report: SweepReport, config: RunConfig, outdir: Path,
                     handle.write("\n")
             written["records"] = path
         if "manifest" in artifacts:
-            written["manifest"] = _write_manifest(config, outdir, extra={
+            written["manifest"] = _write_manifest(outdir, {
+                **_run_inputs(config),
+                "mu_values": list(config.mu_values),
+                "p_values": list(config.p_values),
+                "n_values": list(config.n_values),
                 "configurations": len(report.records),
                 "total_draws": total_draws([r.params for r in report.records]),
             })
@@ -306,19 +300,19 @@ def emit_reports(report: SweepReport, config: RunConfig, outdir: Path,
     return written
 
 
-def _write_manifest(config: RunConfig, outdir: Path, extra=None) -> Path:
-    manifest = {
-        "version": __version__,
+def _run_inputs(config: RunConfig) -> dict:
+    return {
         "mode": config.mode,
         "master_seed": config.master_seed,
         "replicates": config.replicates,
         "sigma": config.sigma,
         "mu_overall": config.mu_overall,
-        "mu_values": list(config.mu_values),
-        "p_values": list(config.p_values),
-        "n_values": list(config.n_values),
     }
-    manifest.update(extra or {})
+
+
+def _write_manifest(outdir: Path, inputs: dict) -> Path:
+    """Write manifest.json: the version plus the inputs the run actually used."""
+    manifest = {"version": __version__, **inputs}
     path = outdir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
@@ -352,17 +346,19 @@ def _execute(config: RunConfig) -> None:
 
     if config.mode == "table4":
         path = _emit_table4(outdir)
-        _write_manifest(config, outdir)
+        _write_manifest(outdir, {"mode": config.mode})
         log.info("wrote %s", path)
         return
 
     if config.mode == "appendix":
-        report = appendix_demo(replicates=config.replicates, seed=config.master_seed)
+        report = appendix_demo(**_APPENDIX_DEMO, sigma=config.sigma,
+                               mu_overall=config.mu_overall,
+                               replicates=config.replicates, seed=config.master_seed)
         payload = asdict(report)
         payload.update({"replicates": config.replicates, "master_seed": config.master_seed})
         path = outdir / "appendix.json"
         path.write_text(json.dumps(payload, indent=2) + "\n")
-        _write_manifest(config, outdir)
+        _write_manifest(outdir, {**_run_inputs(config), **_APPENDIX_DEMO})
         log.info("wrote %s", path)
         return
 

@@ -21,6 +21,7 @@ __all__ = [
     "pmf",
     "cdf",
     "sample",
+    "sample_articles",
     "sample_citations",
     "mixture_mean",
     "rest_of_world_location",
@@ -78,11 +79,6 @@ class MixtureSpec:
             )
 
 
-def _acceptance_rate(params: LognormalParams) -> float:
-    # Mass of the continuous lognormal on [0.5, inf).
-    return 1.0 - ndtr((_LOG_HALF - params.mu) / params.sigma)
-
-
 def pmf(k, params: LognormalParams):
     """Probability of the shifted count k (positive integer).
 
@@ -99,7 +95,8 @@ def pmf(k, params: LognormalParams):
         raise ValueError("k must be a positive integer; no mass below 1")
     z_hi = (np.log(k_arr + 0.5) - params.mu) / params.sigma
     z_lo = (np.log(k_arr - 0.5) - params.mu) / params.sigma
-    out = (ndtr(z_hi) - ndtr(z_lo)) / _acceptance_rate(params)
+    # Renormalise by the mass of the continuous lognormal on [0.5, inf).
+    out = (ndtr(z_hi) - ndtr(z_lo)) / (1.0 - ndtr((_LOG_HALF - params.mu) / params.sigma))
     if np.ndim(k) == 0:
         return float(out)
     return out
@@ -118,28 +115,37 @@ def cdf(k, params: LognormalParams):
     return out
 
 
-def sample(params: LognormalParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n shifted counts (x = c + 1, every value >= 1).
+def sample_articles(mu, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n shifted counts (x = c + 1), article i at location mu[i].
 
-    Continuous lognormal variates exp(mu + sigma * Z) are drawn, values
-    below 0.5 are rejected and the survivors rounded to the nearest
-    integer.  This realises the unit-interval integral mass function
-    exactly, with no truncation error.
+    A scalar mu broadcasts to every article.  Continuous lognormal variates
+    exp(mu + sigma * Z) are drawn, each article whose variate falls below
+    0.5 is redrawn at its own location, and the survivors are rounded to
+    the nearest integer.  This realises the unit-interval integral mass
+    function exactly, with no truncation error.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    accept = _acceptance_rate(params)
-    out = np.empty(n, dtype=np.int64)
-    filled = 0
-    while filled < n:
-        need = n - filled
-        batch = int(need / accept * 1.04) + 16
-        x = np.exp(params.mu + params.sigma * rng.standard_normal(batch))
-        x = x[x >= 0.5]
-        take = min(x.size, need)
-        out[filled : filled + take] = np.floor(x[:take] + 0.5).astype(np.int64)
-        filled += take
-    return out
+
+    def draw(loc):
+        return np.exp(loc + sigma * rng.standard_normal(loc.size))
+
+    mu = np.asarray(mu, dtype=np.float64)
+    if mu.ndim == 0:
+        mu = np.full(n, mu)
+    elif mu.shape != (n,):
+        raise ValueError(f"mu must be a scalar or one location per article, got {mu.shape}")
+    x = draw(mu)
+    bad = np.nonzero(x < 0.5)[0]
+    while bad.size:
+        x[bad] = draw(mu[bad])
+        bad = bad[x[bad] < 0.5]
+    return np.floor(x + 0.5).astype(np.int64)
+
+
+def sample(params: LognormalParams, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n shifted counts (x = c + 1, every value >= 1) from one population."""
+    return sample_articles(params.mu, params.sigma, n, rng)
 
 
 def sample_citations(params: LognormalParams, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -23,15 +23,16 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
-from .distribution import MixtureSpec, rest_of_world_location
-from .indicators import TOP_SHARES, survival_counts
+from .distribution import MixtureSpec, rest_of_world_location, sample_articles
+from .indicators import TOP_SHARES, survival_counts, tie_credit
 from .intervals import (
     Interval,
     SimilarityInput,
     empirical_interval,
     limit_discrepancy,
+    log_mean_interval,
+    proportion_interval,
     similarity,
 )
 
@@ -47,6 +48,7 @@ __all__ = [
     "Table2Row",
     "SweepReport",
     "derive_seed",
+    "validate_grid",
     "generate_grid",
     "total_draws",
     "replicate_world",
@@ -107,9 +109,18 @@ class ParameterSet:
 
     def country_sizes(self) -> tuple[int, int, int]:
         """Article counts (country1, country2, rest); shares are rounded
-        half-up, which never engages on the default grid."""
+        half-up, which never engages on the default grid.
+
+        Each country needs at least two articles for a sample standard
+        deviation; smaller countries raise ValueError.
+        """
         n1 = int(math.floor(self.p1 * self.n_world + 0.5))
         n2 = int(math.floor(self.p2 * self.n_world + 0.5))
+        if min(n1, n2) < 2:
+            raise ValueError(
+                f"each country needs at least two articles per replicate, got "
+                f"{n1} and {n2} (p1={self.p1:g}, p2={self.p2:g}, N={self.n_world})"
+            )
         return n1, n2, self.n_world - n1 - n2
 
 
@@ -188,23 +199,16 @@ def _nan_to_none(value: float):
 
 
 def _summary_dict(summary: IndicatorSummary) -> dict:
-    out = {
+    cmp = summary.comparison
+    return {
         "mean": summary.mean,
         "empirical": [summary.empirical.lower, summary.empirical.upper],
+        "model": None if cmp is None else [cmp.model.lower, cmp.model.upper],
+        "formula": None if cmp is None else [cmp.formula.lower, cmp.formula.upper],
+        "discrepancy": None if cmp is None else [
+            _nan_to_none(cmp.lower_discrepancy), _nan_to_none(cmp.upper_discrepancy)
+        ],
     }
-    cmp = summary.comparison
-    if cmp is None:
-        out["model"] = None
-        out["formula"] = None
-        out["discrepancy"] = None
-    else:
-        out["model"] = [cmp.model.lower, cmp.model.upper]
-        out["formula"] = [cmp.formula.lower, cmp.formula.upper]
-        out["discrepancy"] = [
-            _nan_to_none(cmp.lower_discrepancy),
-            _nan_to_none(cmp.upper_discrepancy),
-        ]
-    return out
 
 
 def derive_seed(
@@ -238,9 +242,10 @@ def generate_grid(
     location is infeasible are skipped with a warning rather than aborting.
     `include_equal_means` adds mu1 == mu2 diagnostic cases.
     """
-    mu_values = _checked_grid("mu_values", mu_values, DEFAULT_MU_VALUES)
-    p_values = _checked_grid("p_values", p_values, DEFAULT_P_VALUES)
-    n_values = _checked_grid("n_values", n_values, DEFAULT_N_VALUES)
+    mu_values = DEFAULT_MU_VALUES if mu_values is None else tuple(mu_values)
+    p_values = DEFAULT_P_VALUES if p_values is None else tuple(p_values)
+    n_values = DEFAULT_N_VALUES if n_values is None else tuple(n_values)
+    validate_grid(mu_values, p_values, n_values, sigma, mu_overall)
 
     sets: list[ParameterSet] = []
     index = 0
@@ -250,9 +255,8 @@ def generate_grid(
                 continue
             for p1 in p_values:
                 for p2 in p_values:
-                    spec = MixtureSpec(mu_overall, sigma, mu1, mu2, p1, p2)
                     try:
-                        rest_of_world_location(spec)
+                        rest_of_world_location(MixtureSpec(mu_overall, sigma, mu1, mu2, p1, p2))
                     except ValueError as exc:
                         log.warning(
                             "skipping infeasible configuration mu1=%g mu2=%g p1=%g p2=%g: %s",
@@ -278,17 +282,28 @@ def generate_grid(
     return sets
 
 
-def _checked_grid(name, values, default):
-    if values is None:
-        return default
-    values = tuple(values)
-    if not values:
-        raise ValueError(f"{name} must not be empty")
-    if any(not math.isfinite(v) for v in values):
-        raise ValueError(f"{name} must be finite")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"{name} must be strictly increasing")
-    return values
+def validate_grid(mu_values, p_values, n_values, sigma: float = 1.0,
+                  mu_overall: float = 1.0) -> None:
+    """Raise ValueError for a grid that could not run, before any sampling.
+
+    Each value list must be non-empty, finite and strictly increasing.  Two
+    corner configurations then bound the grid: the smallest shares at the
+    smallest world give the smallest countries, the largest shares the
+    largest p1 + p2.  Infeasible locations are left to generate_grid.
+    """
+    for name, values in (("mu_values", mu_values), ("p_values", p_values),
+                         ("n_values", n_values)):
+        if not values:
+            raise ValueError(f"{name}: must not be empty")
+        if any(not math.isfinite(v) for v in values):
+            raise ValueError(f"{name}: values must be finite")
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError(f"{name}: values must be strictly increasing")
+    for p in (p_values[0], p_values[-1]):
+        ParameterSet(
+            mu1=mu_values[0], mu2=mu_values[0], p1=p, p2=p, n_world=int(n_values[0]),
+            sigma=sigma, mu_overall=mu_overall, diagnostic=True,
+        ).country_sizes()
 
 
 def total_draws(param_sets) -> int:
@@ -296,28 +311,10 @@ def total_draws(param_sets) -> int:
     return sum(ps.replicates * ps.n_world for ps in param_sets)
 
 
-def _sample_world(mu_vec: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Citation counts for one world, one article per mu_vec entry.
-
-    Same scheme as distribution.sample (reject lognormal variates below
-    0.5, round to nearest integer), batched across the whole world with a
-    per-article location vector, then shifted back to citation counts.
-    """
-    x = np.exp(mu_vec + sigma * rng.standard_normal(mu_vec.size))
-    bad = np.nonzero(x < 0.5)[0]
-    while bad.size:
-        x[bad] = np.exp(mu_vec[bad] + sigma * rng.standard_normal(bad.size))
-        bad = bad[x[bad] < 0.5]
-    return np.floor(x + 0.5).astype(np.int64) - 1
-
-
 def _world_locations(ps: ParameterSet) -> tuple[np.ndarray, int, int]:
     n1, n2, n0 = ps.country_sizes()
     mu0 = rest_of_world_location(ps.mixture())
-    mu_vec = np.empty(ps.n_world)
-    mu_vec[:n1] = ps.mu1
-    mu_vec[n1 : n1 + n2] = ps.mu2
-    mu_vec[n1 + n2 :] = mu0
+    mu_vec = np.repeat([ps.mu1, ps.mu2, mu0], [n1, n2, n0])
     return mu_vec, n1, n2
 
 
@@ -330,7 +327,7 @@ def replicate_world(ps: ParameterSet, master_seed: int, replicate_index: int) ->
     """
     mu_vec, _, _ = _world_locations(ps)
     rng = np.random.default_rng(derive_seed(master_seed, ps.config_index, replicate_index))
-    return _sample_world(mu_vec, ps.sigma, rng)
+    return sample_articles(mu_vec, ps.sigma, ps.n_world, rng) - 1
 
 
 def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
@@ -341,35 +338,25 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
     against the full world sample with proportional tie credit.
     """
     mu_vec, n1, n2 = _world_locations(ps)
-    n_world = ps.n_world
     reps = ps.replicates
     sizes = (n1, n2)
-    if min(sizes) < 2:
-        raise ValueError("each country needs at least two articles per replicate")
 
     arith = np.empty((2, reps))
     log_mean = np.empty((2, reps))
     log_sd = np.empty((2, reps))
     top = np.empty((3, 2, reps))
-    q_values = [share / 100.0 * n_world for share in TOP_SHARES]
 
     for r in range(reps):
         rng = np.random.default_rng(derive_seed(master_seed, ps.config_index, r))
-        counts = _sample_world(mu_vec, ps.sigma, rng)
+        counts = sample_articles(mu_vec, ps.sigma, ps.n_world, rng) - 1
         c1 = counts[:n1]
         c2 = counts[n1 : n1 + n2]
         surv_w = survival_counts(counts)
         surv_c = (survival_counts(c1), survival_counts(c2))
-        neg = -surv_w
-        for j, q in enumerate(q_values):
-            t = int(np.searchsorted(neg, -q, side="right")) - 1
-            above_w = int(surv_w[t + 1]) if t + 1 < surv_w.size else 0
-            frac = (q - above_w) / (int(surv_w[t]) - above_w)
+        for j, share in enumerate(TOP_SHARES):
+            _, _, credits = tie_credit(surv_w, share, surv_c)
             for i in (0, 1):
-                surv = surv_c[i]
-                above = int(surv[t + 1]) if t + 1 < surv.size else 0
-                at = (int(surv[t]) if t < surv.size else 0) - above
-                top[j, i, r] = (above + frac * at) / sizes[i]
+                top[j, i, r] = credits[i] / sizes[i]
         for i, cc in enumerate((c1, c2)):
             arith[i, r] = cc.mean()
             y = np.log1p(cc)
@@ -396,11 +383,8 @@ def _compare(model: Interval, formula: Interval) -> FormulaComparison:
 def run_config(ps: ParameterSet, master_seed: int, level: float = 0.95) -> ConfigSummary:
     """Simulate one configuration and aggregate its replicate statistics."""
     rs = replicate_statistics(ps, master_seed)
-    z = float(sps.norm.ppf(1.0 - (1.0 - level) / 2.0))
     countries: list[dict[str, IndicatorSummary]] = []
     for i, n_c in enumerate((rs.n1, rs.n2)):
-        t_q = float(sps.t.ppf(1.0 - (1.0 - level) / 2.0, n_c - 1))
-        root_n = math.sqrt(n_c)
         summaries: dict[str, IndicatorSummary] = {}
 
         arith_stats = rs.arith[i]
@@ -413,9 +397,9 @@ def run_config(ps: ParameterSet, master_seed: int, level: float = 0.95) -> Confi
         # comparison on the ln(1+c) scale.  expm1 is monotone, so the offset
         # empirical interval is the transform of the log-scale one.
         log_model = empirical_interval(rs.log_mean[i], level)
-        centre = float(np.mean(rs.log_mean[i]))
-        half = t_q * float(np.mean(rs.log_sd[i])) / root_n
-        log_formula = Interval(centre - half, centre + half, kind="formula")
+        log_formula = log_mean_interval(
+            float(np.mean(rs.log_mean[i])), float(np.mean(rs.log_sd[i])), n_c, level
+        )
         geo_stats = np.expm1(rs.log_mean[i])
         summaries["geo"] = IndicatorSummary(
             mean=float(geo_stats.mean()),
@@ -428,13 +412,11 @@ def run_config(ps: ParameterSet, master_seed: int, level: float = 0.95) -> Confi
         for j, name in enumerate(("top1", "top10", "top50")):
             p_stats = rs.top[j, i]
             p_mean = float(p_stats.mean())
-            half_p = z * math.sqrt(p_mean * (1.0 - p_mean) / n_c)
-            formula = Interval(p_mean - half_p, p_mean + half_p, kind="formula")
             model = empirical_interval(p_stats, level)
             summaries[name] = IndicatorSummary(
                 mean=p_mean,
                 empirical=model,
-                comparison=_compare(model, formula),
+                comparison=_compare(model, proportion_interval(p_mean, n_c, level)),
             )
         countries.append(summaries)
 
@@ -444,12 +426,8 @@ def run_config(ps: ParameterSet, master_seed: int, level: float = 0.95) -> Confi
             # No population difference to test for; the score is undefined.
             sims[name] = math.nan
             continue
-        a, b = countries[0][name], countries[1][name]
-        if a.mean <= b.mean:
-            pair = SimilarityInput(a.mean, b.mean, a.empirical, b.empirical)
-        else:
-            pair = SimilarityInput(b.mean, a.mean, b.empirical, a.empirical)
-        sims[name] = similarity(pair)
+        lo, hi = sorted((countries[0][name], countries[1][name]), key=lambda s: s.mean)
+        sims[name] = similarity(SimilarityInput(lo.mean, hi.mean, lo.empirical, hi.empirical))
 
     return ConfigSummary(ps, countries[0], countries[1], sims)
 
@@ -548,15 +526,12 @@ def summarize(records) -> SweepReport:
     n_values = sorted({r.params.n_world for r in counted})
 
     table1: dict[tuple[int, str], Table1Cell] = {}
+    table2: dict[tuple[str, str, int], Table2Row] = {}
     for n_world in n_values:
         rows = [r for r in counted if r.params.n_world == n_world]
         for name in INDICATOR_NAMES:
             hits = sum(1 for r in rows if r.similarities[name] < 1.0)
             table1[(n_world, name)] = Table1Cell(hits, len(rows))
-
-    table2: dict[tuple[str, str, int], Table2Row] = {}
-    for n_world in n_values:
-        rows = [r for r in counted if r.params.n_world == n_world]
         for name in FORMULA_INDICATOR_NAMES:
             for side in ("lower", "upper"):
                 values = []

@@ -1,105 +1,27 @@
-"""Citation impact indicators for one country inside a simulated world.
+"""Top-X% credit of articles inside a simulated world.
 
-Five indicators are computed on a country's articles: arithmetic mean,
-offset geometric mean, and the share of the country's articles in the
-world's top 1%, 10% and 50% most cited.  Articles tied at a percentile
-cutoff receive a proportional fraction of the remaining slots, so the
-total credit handed out for the top X% is exactly X/100 * N.
+A country's share of the world's top 1%, 10% and 50% most cited articles
+is its summed credit divided by its article count.  Articles tied at a
+percentile cutoff receive a proportional fraction of the remaining slots
+(Waltman & Schreiber, JASIST 64(2), 2013), so the total credit handed out
+for the top X% is exactly X/100 * N.  Everything is computed from
+survival counts, S[v] = #{c >= v}, so a group's credit needs only its own
+histogram and the world's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "COUNTRY_1",
-    "COUNTRY_2",
-    "REST",
     "TOP_SHARES",
-    "WorldReplicate",
-    "IndicatorSet",
-    "arithmetic_mean",
-    "geometric_mean_offset",
+    "survival_counts",
+    "tie_credit",
     "threshold_credit",
     "top_credit",
-    "country_indicators",
-    "survival_counts",
 ]
 
-COUNTRY_1 = 0
-COUNTRY_2 = 1
-REST = 2
-
 TOP_SHARES = (1.0, 10.0, 50.0)
-
-
-@dataclass(frozen=True)
-class WorldReplicate:
-    """One simulated world: citation counts plus per-article membership."""
-
-    counts: np.ndarray
-    membership: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        membership = np.asarray(self.membership, dtype=np.int64)
-        if counts.shape != membership.shape:
-            raise ValueError("counts and membership must have the same length")
-        if counts.size and counts.min() < 0:
-            raise ValueError("citation counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "membership", membership)
-
-    @classmethod
-    def from_groups(cls, country1, country2, rest) -> "WorldReplicate":
-        groups = [np.asarray(g, dtype=np.int64) for g in (country1, country2, rest)]
-        labels = [COUNTRY_1, COUNTRY_2, REST]
-        counts = np.concatenate(groups)
-        membership = np.concatenate(
-            [np.full(g.size, lab, dtype=np.int64) for g, lab in zip(groups, labels)]
-        )
-        return cls(counts, membership)
-
-
-@dataclass(frozen=True)
-class IndicatorSet:
-    """The five indicator values for one country in one world replicate."""
-
-    arith: float
-    geo: float
-    top1: float
-    top10: float
-    top50: float
-
-    def by_name(self) -> dict:
-        return {
-            "arith": self.arith,
-            "geo": self.geo,
-            "top1": self.top1,
-            "top10": self.top10,
-            "top50": self.top50,
-        }
-
-
-def arithmetic_mean(counts) -> float:
-    """Plain mean of citation counts."""
-    counts = np.asarray(counts)
-    if counts.size == 0:
-        raise ValueError("cannot average an empty sample")
-    return float(counts.mean())
-
-
-def geometric_mean_offset(counts) -> float:
-    """Geometric mean with a +1 offset so uncited articles contribute.
-
-    Computed as exp(mean(ln(1 + c))) - 1, always in log space.
-    """
-    counts = np.asarray(counts)
-    if counts.size == 0:
-        raise ValueError("cannot average an empty sample")
-    return float(np.expm1(np.log1p(counts).mean()))
 
 
 def survival_counts(counts: np.ndarray) -> np.ndarray:
@@ -108,52 +30,52 @@ def survival_counts(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(hist[::-1])[::-1]
 
 
-def threshold_credit(counts, x_percent: float) -> tuple[int, float]:
-    """Percentile cutoff count and the fractional credit at the cutoff.
+def tie_credit(world_surv: np.ndarray, x_percent: float, groups=()) -> tuple[int, float, list]:
+    """Cutoff, tie fraction and each group's summed credit for the top x_percent.
 
-    Returns (t, frac) where articles cited more than t times fall fully
-    inside the top x_percent and articles cited exactly t times share the
-    remaining q - #{c > t} slots equally (q = x_percent/100 * N, kept as
-    an exact real).  frac is 1.0 when the cutoff block fits entirely.
+    world_surv is the survival_counts of the whole world, so N = world_surv[0].
+    Articles cited more than t times fall fully inside the top x_percent;
+    the articles cited exactly t times share the remaining q - #{c > t}
+    slots equally (q = x_percent/100 * N, kept as an exact real), each
+    receiving frac, which is 1.0 when the cutoff block fits entirely.
+    Each entry of groups is the survival_counts of a subset of the world's
+    articles; its credit is #{c > t} + frac * #{c == t} over that subset.
+    """
+    q = x_percent / 100.0 * int(world_surv[0])
+    # Largest count t with #{c >= t} >= q; world_surv is non-increasing.
+    t = int(np.count_nonzero(world_surv >= q)) - 1
+    above = int(world_surv[t + 1]) if t + 1 < world_surv.size else 0
+    frac = (q - above) / (int(world_surv[t]) - above)
+    credits = []
+    for surv in groups:
+        above = int(surv[t + 1]) if t + 1 < surv.size else 0
+        at = (int(surv[t]) if t < surv.size else 0) - above
+        credits.append(above + frac * at)
+    return t, frac, credits
+
+
+def threshold_credit(counts, x_percent: float) -> tuple[int, float]:
+    """Percentile cutoff count t and the fractional credit at the cutoff.
+
+    See :func:`tie_credit` for the rule; counts holds one world's articles.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size == 0:
         raise ValueError("world must contain at least one article")
     if not 0 < x_percent < 100:
         raise ValueError(f"x_percent must lie in (0, 100), got {x_percent}")
-    surv = survival_counts(counts)
-    q = x_percent / 100.0 * counts.size
-    # Largest count t with #{c >= t} >= q; surv is non-increasing.
-    t = int(np.searchsorted(-surv, -q, side="right")) - 1
-    n_above = int(surv[t + 1]) if t + 1 < surv.size else 0
-    n_at = int(surv[t]) - n_above
-    return t, (q - n_above) / n_at
+    t, frac, _ = tie_credit(survival_counts(counts), x_percent)
+    return t, frac
 
 
-def top_credit(world: WorldReplicate, x_percent: float) -> np.ndarray:
+def top_credit(counts, x_percent: float) -> np.ndarray:
     """Per-article fractional credit for membership of the world top x_percent.
 
     Total credit over all articles equals x_percent/100 * N exactly.
     """
-    t, frac = threshold_credit(world.counts, x_percent)
-    credit = np.zeros(world.counts.size)
-    credit[world.counts > t] = 1.0
-    credit[world.counts == t] = frac
+    counts = np.asarray(counts, dtype=np.int64)
+    t, frac = threshold_credit(counts, x_percent)
+    credit = np.zeros(counts.size)
+    credit[counts > t] = 1.0
+    credit[counts == t] = frac
     return credit
-
-
-def country_indicators(world: WorldReplicate, country: int) -> IndicatorSet:
-    """All five indicators for one country's articles within the world.
-
-    Percentile cutoffs are taken over the full world sample; the country's
-    top-X share is its summed credit divided by its article count.
-    """
-    mine = world.counts[world.membership == country]
-    if mine.size == 0:
-        raise ValueError(f"country {country} has no articles in this world")
-    tops = []
-    for x_percent in TOP_SHARES:
-        t, frac = threshold_credit(world.counts, x_percent)
-        credit = float((mine > t).sum()) + frac * float((mine == t).sum())
-        tops.append(credit / mine.size)
-    return IndicatorSet(arithmetic_mean(mine), geometric_mean_offset(mine), *tops)

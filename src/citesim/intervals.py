@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtri, stdtrit
 
 __all__ = [
     "Interval",
@@ -84,25 +84,16 @@ def empirical_interval(stats, level: float = 0.95) -> Interval:
     return Interval(float(values[rank - 1]), float(values[n - rank]), kind="empirical")
 
 
-def log_mean_interval(counts, level: float = 0.95) -> tuple[Interval, Interval]:
-    """t interval for the mean of ln(1 + c), plus its back-transformed variant.
+def log_mean_interval(mean: float, sd: float, n: int, level: float = 0.95) -> Interval:
+    """t interval for the mean of y = ln(1 + c) from its summary statistics.
 
-    Returns (log_scale, back_transformed).  The log-scale interval is
-    mean(y) +/- t_{a/2, n-1} * s / sqrt(n) with y = ln(1 + c) and s the
-    n-1 sample standard deviation; the second interval applies
-    exp(.) - 1 to both limits.  Formula-to-model comparisons use the
-    log-scale interval.
+    mean +/- t_{a/2, n-1} * sd / sqrt(n), with sd the n-1 sample standard
+    deviation of y over n observations.
     """
-    counts = np.asarray(counts)
-    n = counts.size
     if n < 2:
         raise ValueError("need at least two observations for a sample standard deviation")
-    y = np.log1p(counts)
-    centre = float(y.mean())
-    half = float(sps.t.ppf(1.0 - (1.0 - level) / 2.0, n - 1) * y.std(ddof=1) / math.sqrt(n))
-    log_scale = Interval(centre - half, centre + half, kind="formula")
-    back = Interval(math.expm1(log_scale.lower), math.expm1(log_scale.upper), kind="formula")
-    return log_scale, back
+    half = float(stdtrit(n - 1, 1.0 - (1.0 - level) / 2.0)) * sd / math.sqrt(n)
+    return Interval(mean - half, mean + half, kind="formula")
 
 
 def proportion_interval(p: float, n: int, level: float = 0.95) -> Interval:
@@ -116,8 +107,7 @@ def proportion_interval(p: float, n: int, level: float = 0.95) -> Interval:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    z = sps.norm.ppf(1.0 - (1.0 - level) / 2.0)
-    half = z * math.sqrt(p * (1.0 - p) / n)
+    half = float(ndtri(1.0 - (1.0 - level) / 2.0)) * math.sqrt(p * (1.0 - p) / n)
     return Interval(p - half, p + half, kind="formula")
 
 

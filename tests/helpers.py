@@ -1,14 +1,98 @@
 """Independent oracles shared across test modules.
 
 These deliberately avoid the production code paths: the credit oracle
-walks the tie rule value by value with plain Python lists, and the
-goodness-of-fit helper only consumes the closed-form pmf/cdf it is
-checking a sampler against.
+walks the tie rule value by value with plain Python lists, the
+per-article indicator set recomputes a replicate from its article counts
+rather than from survival counts, and the goodness-of-fit helper only
+consumes the closed-form pmf/cdf it is checking a sampler against.
 """
+
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from citesim.distribution import cdf, pmf
+from citesim.indicators import TOP_SHARES, threshold_credit
+
+COUNTRY_1, COUNTRY_2, REST = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class WorldReplicate:
+    """One simulated world: citation counts plus per-article membership."""
+
+    counts: np.ndarray
+    membership: np.ndarray
+
+    def __post_init__(self) -> None:
+        counts = np.asarray(self.counts, dtype=np.int64)
+        membership = np.asarray(self.membership, dtype=np.int64)
+        if counts.shape != membership.shape:
+            raise ValueError("counts and membership must have the same length")
+        if counts.size and counts.min() < 0:
+            raise ValueError("citation counts must be non-negative")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "membership", membership)
+
+    @classmethod
+    def from_groups(cls, country1, country2, rest) -> "WorldReplicate":
+        groups = [np.asarray(g, dtype=np.int64) for g in (country1, country2, rest)]
+        labels = [COUNTRY_1, COUNTRY_2, REST]
+        counts = np.concatenate(groups)
+        membership = np.concatenate(
+            [np.full(g.size, lab, dtype=np.int64) for g, lab in zip(groups, labels)]
+        )
+        return cls(counts, membership)
+
+
+@dataclass(frozen=True)
+class IndicatorSet:
+    """The five indicator values for one country in one world replicate."""
+
+    arith: float
+    geo: float
+    top1: float
+    top10: float
+    top50: float
+
+    def by_name(self) -> dict:
+        return asdict(self)
+
+
+def arithmetic_mean(counts) -> float:
+    """Plain mean of citation counts."""
+    counts = np.asarray(counts)
+    if counts.size == 0:
+        raise ValueError("cannot average an empty sample")
+    return float(counts.mean())
+
+
+def geometric_mean_offset(counts) -> float:
+    """Geometric mean with a +1 offset so uncited articles contribute.
+
+    Computed as exp(mean(ln(1 + c))) - 1, always in log space.
+    """
+    counts = np.asarray(counts)
+    if counts.size == 0:
+        raise ValueError("cannot average an empty sample")
+    return float(np.expm1(np.log1p(counts).mean()))
+
+
+def country_indicators(world: WorldReplicate, country: int) -> IndicatorSet:
+    """All five indicators for one country's articles within the world.
+
+    Percentile cutoffs are taken over the full world sample; the country's
+    top-X share is its summed per-article credit divided by its article count.
+    """
+    mine = world.counts[world.membership == country]
+    if mine.size == 0:
+        raise ValueError(f"country {country} has no articles in this world")
+    tops = []
+    for x_percent in TOP_SHARES:
+        t, frac = threshold_credit(world.counts, x_percent)
+        credit = float((mine > t).sum()) + frac * float((mine == t).sum())
+        tops.append(credit / mine.size)
+    return IndicatorSet(arithmetic_mean(mine), geometric_mean_offset(mine), *tops)
 
 
 def credit_oracle(counts, x_percent):

@@ -24,7 +24,7 @@ from citesim.experiment import (
     run_sweep,
     summarize,
 )
-from citesim.indicators import WorldReplicate, top_credit
+from citesim.indicators import top_credit
 from citesim.intervals import Interval, SimilarityInput, empirical_interval, proportion_interval, similarity
 from helpers import chi_square_gof, credit_oracle
 
@@ -68,15 +68,11 @@ def test_criterion_02_tie_credit_oracle():
         n = int(rng.integers(1, 51))
         counts = rng.integers(0, 13, size=n)
         share = float(rng.choice([1.0, 10.0, 50.0]))
-        world = WorldReplicate(counts, np.zeros(n, dtype=np.int64))
-        credit = top_credit(world, share)
+        credit = top_credit(counts, share)
         assert credit == pytest.approx(credit_oracle(counts, share), abs=1e-9)
         assert credit.sum() == pytest.approx(share / 100.0 * n, abs=1e-9)
     # three articles tied at the top-1% cutoff of a 100-article world
-    tied_world = WorldReplicate(
-        np.array([10, 10, 10] + [2] * 97), np.zeros(100, dtype=np.int64)
-    )
-    assert top_credit(tied_world, 1.0)[:3] == pytest.approx([1 / 3] * 3, abs=1e-12)
+    assert top_credit([10, 10, 10] + [2] * 97, 1.0)[:3] == pytest.approx([1 / 3] * 3, abs=1e-12)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _pass(2, f"1000 random instances match the brute-force oracle ({elapsed:.1f}s)")

@@ -1,9 +1,12 @@
 """CLI tests: configuration resolution, artifact shapes, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 
+import numpy as np
 import pytest
+import scipy
 
 from citesim.cli import ConfigError, RunConfig, emit_reports, main, parse_config
 from citesim.experiment import (
@@ -16,6 +19,21 @@ from citesim.experiment import (
 )
 
 ALL_N = (500, 1000, 5000, 10000, 50000)
+
+# A fixed small sweep and its artifact hashes, taken with numpy 2.4.6 and
+# scipy 1.17.1.  The N=60 rows tie often at the percentile cutoffs, which
+# exercises the fractional tie-credit rule.  numpy Generator streams are
+# only stable within one numpy version (NEP 19).  A change that alters
+# these hashes must say so in CHANGES.md.
+GOLDEN_ARGS = [
+    "sweep", "--mu-values", "0.9", "0.96", "1.1", "--p-values", "0.05", "0.25",
+    "--n-values", "60", "500", "--replicates", "40", "--seed", "3", "--threads", "1",
+]
+GOLDEN_SHA256 = {
+    "records.jsonl": "a64410c9826faa4ed7a0f6ad9687f79abc92f33c609705c744dca35554a07c1d",
+    "table1.csv": "e6908b8889891e51eafd03f3ef73a0aef03a01023c4b85a96536336dc1ec070e",
+    "table2.csv": "a774e24898e83dbb2031e90950f00d49c46a74a545ee8a7bbff39b91e940d27c",
+}
 
 
 def read_csv(path):
@@ -129,6 +147,12 @@ class TestModes:
         assert (total[4], total[5]) == ("1099200", "901800")
         ranks = [row[3] for row in rows[1:-1]]
         assert ranks == ["675", "1529", "1755.5", "1895", "1988.5", "1995"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["mode"] == "table4"
+        assert not {"mu_values", "p_values", "n_values"} & set(manifest)
+        replay = tmp_path / "replay"
+        assert main(["--config", str(tmp_path / "manifest.json"), "--out", str(replay)]) == 0
+        assert (replay / "table4.csv").read_bytes() == (tmp_path / "table4.csv").read_bytes()
 
     def test_appendix_mode(self, tmp_path):
         code = main(["appendix", "--replicates", "200", "--seed", "3", "--out", str(tmp_path)])
@@ -136,6 +160,14 @@ class TestModes:
         payload = json.loads((tmp_path / "appendix.json").read_text())
         assert payload["zero_prop2"] > payload["zero_prop1"]
         assert payload["mw_p"] < 0.01
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert not {"mu_values", "p_values", "n_values"} & set(manifest)
+        demo = {"sample1_size": 75, "sample2_size": 25, "world_size": 500, "mu": 0.9,
+                "sigma": 1.0, "mu_overall": 1.0, "replicates": 200, "master_seed": 3}
+        assert {key: manifest[key] for key in demo} == demo
+        replay = tmp_path / "replay"
+        assert main(["--config", str(tmp_path / "manifest.json"), "--out", str(replay)]) == 0
+        assert (replay / "appendix.json").read_bytes() == (tmp_path / "appendix.json").read_bytes()
 
     def test_sweep_mode_writes_all_artifacts(self, tmp_path):
         code = main([
@@ -170,6 +202,12 @@ class TestModes:
         assert main(args + ["--threads", "2", "--out", str(second)]) == 0
         for name in ("table1.csv", "table2.csv", "figure1.csv", "records.jsonl", "manifest.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_golden_sweep_hashes(self, tmp_path):
+        assert main(GOLDEN_ARGS + ["--out", str(tmp_path)]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+        assert got == GOLDEN_SHA256, f"numpy {np.__version__}, scipy {scipy.__version__}"
 
     def test_manifest_reproduces_run(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -224,6 +262,17 @@ class TestModes:
 class TestExitCodes:
     def test_config_error_is_one(self, capsys):
         assert main(["--replicates", "1"]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--n-values", "0"],
+        ["--p-values", "0.6", "0.7"],
+        ["--p-values", "-0.1", "0.1"],
+        ["--n-values", "10", "--p-values", "0.05", "0.1"],
+    ], ids=["zero-world", "shares-over-one", "negative-share", "one-article-country"])
+    def test_invalid_grid_is_config_error(self, argv, tmp_path, capsys):
+        # exit 1 comes only from parse_config, before anything is sampled
+        assert main(argv + ["--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_unknown_mode_is_one(self):

@@ -18,6 +18,7 @@ from citesim.distribution import (
     pmf,
     rest_of_world_location,
     sample,
+    sample_articles,
     sample_citations,
 )
 from citesim.experiment import DEFAULT_MU_VALUES, DEFAULT_P_VALUES
@@ -108,6 +109,8 @@ class TestSample:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             sample(STANDARD, -1, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            sample_articles(np.zeros(3), 1.0, 2, np.random.default_rng(0))
 
     def test_reproducible(self):
         a = sample(STANDARD, 1000, np.random.default_rng(42))

@@ -7,29 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citesim.indicators import (
+from citesim.indicators import TOP_SHARES, threshold_credit, top_credit
+from helpers import (
     COUNTRY_1,
     COUNTRY_2,
     REST,
-    TOP_SHARES,
     IndicatorSet,
     WorldReplicate,
     arithmetic_mean,
     country_indicators,
+    credit_oracle,
     geometric_mean_offset,
-    threshold_credit,
-    top_credit,
 )
-from helpers import credit_oracle
 
 count_arrays = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=60)
-
-
-def world_of(counts, membership=None):
-    counts = np.asarray(counts, dtype=np.int64)
-    if membership is None:
-        membership = np.full(counts.size, REST)
-    return WorldReplicate(counts, np.asarray(membership, dtype=np.int64))
 
 
 class TestArithmeticMean:
@@ -78,17 +69,17 @@ class TestTopCredit:
         # 100 articles, top 1% cut at 10 citations, three articles tied
         # there and none above: each tied article is worth 1/3.
         counts = [10, 10, 10] + [3] * 50 + [0] * 47
-        credit = top_credit(world_of(counts), 1.0)
+        credit = top_credit(counts, 1.0)
         assert credit[:3] == pytest.approx([1 / 3] * 3, abs=1e-12)
         assert np.all(credit[3:] == 0.0)
 
     def test_full_tie_gives_everyone_the_share(self):
         for x in TOP_SHARES:
-            credit = top_credit(world_of([4] * 40), x)
+            credit = top_credit([4] * 40, x)
             assert credit == pytest.approx([x / 100.0] * 40, abs=1e-12)
 
     def test_seven_article_worked_case(self):
-        credit = top_credit(world_of([5, 4, 3, 3, 2, 1, 0]), 50.0)
+        credit = top_credit([5, 4, 3, 3, 2, 1, 0], 50.0)
         assert credit == pytest.approx([1.0, 1.0, 0.75, 0.75, 0.0, 0.0, 0.0], abs=1e-12)
 
     def test_exact_block_fit_gets_full_credit(self):
@@ -102,7 +93,7 @@ class TestTopCredit:
             n = int(rng.integers(1, 51))
             counts = rng.integers(0, 13, size=n)
             x = float(rng.choice([1.0, 10.0, 50.0]))
-            credit = top_credit(world_of(counts), x)
+            credit = top_credit(counts, x)
             assert credit == pytest.approx(credit_oracle(counts, x), abs=1e-9)
             assert credit.sum() == pytest.approx(x / 100.0 * n, abs=1e-9)
 
@@ -110,8 +101,8 @@ class TestTopCredit:
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 20, size=200)
         for x in TOP_SHARES:
-            base = top_credit(world_of(counts), x)
-            shifted = top_credit(world_of(counts + 7), x)
+            base = top_credit(counts, x)
+            shifted = top_credit(counts + 7, x)
             assert np.array_equal(base, shifted)
 
     def test_domain(self):
@@ -123,14 +114,14 @@ class TestTopCredit:
     @given(count_arrays, st.sampled_from([1.0, 10.0, 50.0]))
     @settings(max_examples=200, deadline=None)
     def test_credit_conservation(self, counts, x):
-        credit = top_credit(world_of(counts), x)
+        credit = top_credit(counts, x)
         assert credit.sum() == pytest.approx(x / 100.0 * len(counts), abs=1e-9)
 
 
 class TestCountryIndicators:
     def test_country_holding_whole_world(self):
         counts = np.arange(40)
-        world = world_of(counts, [COUNTRY_1] * 40)
+        world = WorldReplicate(counts, [COUNTRY_1] * 40)
         result = country_indicators(world, COUNTRY_1)
         assert result.top50 == pytest.approx(0.5, abs=1e-12)
         assert result.top10 == pytest.approx(0.1, abs=1e-12)
@@ -139,14 +130,14 @@ class TestCountryIndicators:
     def test_dominant_small_country(self):
         counts = [50, 49] + [5] * 198
         membership = [COUNTRY_1] * 2 + [REST] * 198
-        result = country_indicators(world_of(counts, membership), COUNTRY_1)
+        result = country_indicators(WorldReplicate(counts, membership), COUNTRY_1)
         assert result.top1 == 1.0
 
     def test_against_oracle_on_small_world(self):
         rng = np.random.default_rng(77)
         counts = rng.integers(0, 8, size=20)
         membership = np.array([COUNTRY_1] * 4 + [COUNTRY_2] * 4 + [REST] * 12)
-        world = world_of(counts, membership)
+        world = WorldReplicate(counts, membership)
         for country in (COUNTRY_1, COUNTRY_2):
             mine = counts[membership == country]
             got = country_indicators(world, country)
@@ -162,19 +153,19 @@ class TestCountryIndicators:
         counts = rng.integers(0, 15, size=60)
         membership = np.array([COUNTRY_1] * 10 + [COUNTRY_2] * 20 + [REST] * 30)
         order = rng.permutation(60)
-        before = country_indicators(world_of(counts, membership), COUNTRY_1)
-        after = country_indicators(world_of(counts[order], membership[order]), COUNTRY_1)
+        before = country_indicators(WorldReplicate(counts, membership), COUNTRY_1)
+        after = country_indicators(WorldReplicate(counts[order], membership[order]), COUNTRY_1)
         assert before == after
 
     def test_empty_country_rejected(self):
-        world = world_of([1, 2, 3], [REST, REST, REST])
+        world = WorldReplicate([1, 2, 3], [REST, REST, REST])
         with pytest.raises(ValueError):
             country_indicators(world, COUNTRY_1)
 
     @given(count_arrays)
     @settings(max_examples=150, deadline=None)
     def test_geo_never_exceeds_arith(self, counts):
-        world = world_of(counts, [COUNTRY_1] * len(counts))
+        world = WorldReplicate(counts, [COUNTRY_1] * len(counts))
         result = country_indicators(world, COUNTRY_1)
         assert result.geo <= result.arith + 1e-12
         if len(set(counts)) > 1:
