@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
-from scipy.stats import norm, rankdata
+from scipy.special import kolmogorov, ndtr
 
 from .experiment import ParameterSet, replicate_statistics
 
@@ -138,16 +137,17 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     n1, n2 = a.size, b.size
     n = n1 + n2
     combined = np.concatenate([a, b])
-    ranks = rankdata(combined)
+    _, block, tie_sizes = np.unique(combined, return_inverse=True, return_counts=True)
+    # Tied observations share their block's midpoint rank.
+    ranks = (np.cumsum(tie_sizes) - (tie_sizes - 1) / 2.0)[block]
     rank_sum1 = float(ranks[:n1].sum())
     u = rank_sum1 - n1 * (n1 + 1) / 2.0
-    _, tie_sizes = np.unique(combined, return_counts=True)
     tie_term = float((tie_sizes.astype(np.float64) ** 3 - tie_sizes).sum()) / (n * (n - 1.0))
     variance = n1 * n2 / 12.0 * ((n + 1.0) - tie_term)
     if variance <= 0.0:
         return MannWhitneyResult(u=u, z=0.0, p=1.0)
     z = (u - n1 * n2 / 2.0) / math.sqrt(variance)
-    p = min(2.0 * float(norm.sf(abs(z))), 1.0)
+    p = min(2.0 * float(ndtr(-abs(z))), 1.0)
     return MannWhitneyResult(u=u, z=z, p=p)
 
 

@@ -13,14 +13,13 @@ import argparse
 import csv
 import json
 import logging
-import math
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
 from .appendix_stats import appendix_demo, rank_sums_from_frequency, table4_example
+from .distribution import MixtureSpec, rest_of_world_location
 from .experiment import (
     DEFAULT_MU_VALUES,
     DEFAULT_N_VALUES,
@@ -39,8 +38,7 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "emit_reports", "main"]
 
 log = logging.getLogger(__name__)
 
-MODES = ("sweep", "table1", "table2", "figure1", "appendix", "table4")
-THREADS_ENV = "CITESIM_THREADS"
+MODES = ("sweep", "appendix", "table4")
 
 # The appendix demo's fixed inputs: country sizes, world size and the
 # location both countries share.
@@ -88,27 +86,20 @@ class RunConfig:
                           self.sigma, self.mu_overall)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if len(self.mu_values) < 2:
+            raise ConfigError("mu_values: need at least two locations to form mu1 < mu2")
+        # The least demanding corner: when it is infeasible, so is every configuration.
+        (mu1, mu2), p = self.mu_values[:2], self.p_values[0]
+        try:
+            rest_of_world_location(MixtureSpec(self.mu_overall, self.sigma, mu1, mu2, p, p))
+        except ValueError as exc:
+            raise ConfigError(f"grid contains no feasible configurations: {exc}") from None
         if self.output_dir.exists() and not self.output_dir.is_dir():
             raise ConfigError(f"output_dir: {self.output_dir} exists and is not a directory")
 
 
-# Config-file keys: every RunConfig field, plus mu_range as an alternative to mu_values.
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"mu_range"}
-
-
-def _expand_range(key: str, bounds) -> tuple:
-    bounds = list(bounds)
-    if len(bounds) == 2:
-        bounds.append(0.02)
-    if len(bounds) != 3:
-        raise ConfigError(f"{key}: expected LO HI [STEP], got {bounds}")
-    lo, hi, step = bounds
-    if hi <= lo:
-        raise ConfigError(f"{key}: nonincreasing range {lo}..{hi}")
-    if step <= 0:
-        raise ConfigError(f"{key}: step must be positive, got {step}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return tuple(round(lo + i * step, 10) for i in range(count))
+# Config-file keys: the RunConfig fields, which are also the flags' dests.
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _build_parser() -> _Parser:
@@ -120,31 +111,27 @@ def _build_parser() -> _Parser:
             "article populations?"
         ),
     )
-    parser.add_argument("mode", nargs="?", choices=MODES, default=None,
-                        help="artifacts to produce (default: sweep, which emits everything)")
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON file with the same keys as the flags; flags win")
-    parser.add_argument("--mu-values", "--mu", dest="mu_values", nargs="+", type=float,
-                        default=None, help="location grid shared by both countries")
-    parser.add_argument("--mu-range", "--mu1-range", dest="mu_range", nargs="+", type=float,
-                        default=None, metavar="BOUND",
-                        help="location grid as LO HI [STEP], step defaults to 0.02")
-    parser.add_argument("--p-values", "--p", dest="p_values", nargs="+", type=float,
-                        default=None, help="world-share grid for both countries")
-    parser.add_argument("--n-values", "--n", dest="n_values", nargs="+", type=int,
-                        default=None, help="world sizes")
-    parser.add_argument("--sigma", type=float, default=None, help="shared scale parameter")
-    parser.add_argument("--mu-overall", dest="mu_overall", type=float, default=None,
+    parser.add_argument("mode", nargs="?", choices=MODES,
+                        help="kind of run (default: sweep, which writes every table)")
+    parser.add_argument("--config", type=Path,
+                        help="JSON file keyed like manifest.json; flags win")
+    parser.add_argument("--mu-values", dest="mu_values", nargs="+", type=float,
+                        help="location grid shared by both countries")
+    parser.add_argument("--p-values", dest="p_values", nargs="+", type=float,
+                        help="world-share grid for both countries")
+    parser.add_argument("--n-values", dest="n_values", nargs="+", type=int,
+                        help="world sizes")
+    parser.add_argument("--sigma", type=float, help="shared scale parameter")
+    parser.add_argument("--mu-overall", dest="mu_overall", type=float,
                         help="overall location parameter held fixed by the mixture solve")
-    parser.add_argument("--replicates", "-r", type=int, default=None,
-                        help="replicates per configuration")
-    parser.add_argument("--seed", dest="master_seed", type=int, default=None,
+    parser.add_argument("--replicates", type=int, help="replicates per configuration")
+    parser.add_argument("--seed", dest="master_seed", type=int,
                         help="master seed; every stream derives from it")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker processes, 0 = auto (env {THREADS_ENV} when absent)")
-    parser.add_argument("--out", dest="output_dir", type=Path, default=None,
+    parser.add_argument("--threads", type=int, help="worker processes, 0 = auto")
+    parser.add_argument("--out", dest="output_dir", type=Path,
                         help="output directory (default: results)")
     parser.add_argument("--version", action="version", version=f"citesim {__version__}")
+    parser.set_defaults(**vars(RunConfig()))
     return parser
 
 
@@ -164,52 +151,27 @@ def _load_config_file(path: Path) -> dict:
 
 
 def parse_config(argv=None) -> RunConfig:
-    """Resolve a RunConfig from flags and optional JSON file (flags win)."""
-    args = _build_parser().parse_args(argv)
-    file_values = _load_config_file(args.config) if args.config else {}
-
-    config = RunConfig()
-
-    def pick(flag_value, key):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return getattr(config, key)
-
-    mu_values = args.mu_values
-    if mu_values is None and args.mu_range is not None:
-        mu_values = _expand_range("mu-range", args.mu_range)
-    if mu_values is None and "mu_values" in file_values:
-        mu_values = file_values["mu_values"]
-    if mu_values is None and "mu_range" in file_values:
-        mu_values = _expand_range("mu_range", file_values["mu_range"])
-    if mu_values is None:
-        mu_values = config.mu_values
-
-    threads = args.threads
-    if threads is None and os.environ.get(THREADS_ENV):
-        try:
-            threads = int(os.environ[THREADS_ENV])
-        except ValueError:
-            raise ConfigError(
-                f"{THREADS_ENV}: must be an integer, got {os.environ[THREADS_ENV]!r}"
-            ) from None
-    if threads is None:
-        threads = int(file_values.get("threads", config.threads))
-
-    config = RunConfig(
-        mode=args.mode if args.mode is not None else file_values.get("mode", "sweep"),
-        mu_values=tuple(float(v) for v in mu_values),
-        p_values=tuple(float(v) for v in pick(args.p_values, "p_values")),
-        n_values=tuple(int(v) for v in pick(args.n_values, "n_values")),
-        sigma=float(pick(args.sigma, "sigma")),
-        mu_overall=float(pick(args.mu_overall, "mu_overall")),
-        replicates=int(pick(args.replicates, "replicates")),
-        master_seed=int(pick(args.master_seed, "master_seed")),
-        threads=threads,
-        output_dir=Path(pick(args.output_dir, "output_dir")),
-    )
+    """Resolve a RunConfig: flags over the optional JSON file over the defaults."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        parser.set_defaults(**_load_config_file(args.config))
+        args = parser.parse_args(argv)
+    try:
+        config = RunConfig(
+            mode=args.mode,
+            mu_values=tuple(float(v) for v in args.mu_values),
+            p_values=tuple(float(v) for v in args.p_values),
+            n_values=tuple(int(v) for v in args.n_values),
+            sigma=float(args.sigma),
+            mu_overall=float(args.mu_overall),
+            replicates=int(args.replicates),
+            master_seed=int(args.master_seed),
+            threads=int(args.threads),
+            output_dir=Path(args.output_dir),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: {exc}") from None
     config.validate()
     return config
 
@@ -258,43 +220,31 @@ def _figure1_rows(report: SweepReport):
                    name, _fmt(record.similarities[name])]
 
 
-def emit_reports(report: SweepReport, config: RunConfig, outdir: Path,
-                 artifacts=("table1", "table2", "figure1", "records", "manifest")) -> dict:
-    """Write the requested artifacts; returns {artifact: path}."""
+def emit_reports(report: SweepReport, config: RunConfig, outdir: Path) -> dict:
+    """Write every sweep artifact; returns {artifact: path}."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
+    written = {"table1": outdir / "table1.csv", "table2": outdir / "table2.csv",
+               "figure1": outdir / "figure1.csv", "records": outdir / "records.jsonl"}
     try:
-        if "table1" in artifacts:
-            path = outdir / "table1.csv"
-            _write_csv(path, ["N", "indicator", "count", "percent"], _table1_rows(report))
-            written["table1"] = path
-        if "table2" in artifacts:
-            path = outdir / "table2.csv"
-            _write_csv(path, ["indicator", "limit_side", "N", "min", "max", "mean", "sd"],
-                       _table2_rows(report))
-            written["table2"] = path
-        if "figure1" in artifacts:
-            path = outdir / "figure1.csv"
-            _write_csv(path, ["mu1", "mu2", "p1", "p2", "N", "indicator", "similarity"],
-                       _figure1_rows(report))
-            written["figure1"] = path
-        if "records" in artifacts:
-            path = outdir / "records.jsonl"
-            with open(path, "w") as handle:
-                for record in report.records:
-                    handle.write(json.dumps(record.to_dict(), separators=(",", ":")))
-                    handle.write("\n")
-            written["records"] = path
-        if "manifest" in artifacts:
-            written["manifest"] = _write_manifest(outdir, {
-                **_run_inputs(config),
-                "mu_values": list(config.mu_values),
-                "p_values": list(config.p_values),
-                "n_values": list(config.n_values),
-                "configurations": len(report.records),
-                "total_draws": total_draws([r.params for r in report.records]),
-            })
+        _write_csv(written["table1"], ["N", "indicator", "count", "percent"],
+                   _table1_rows(report))
+        _write_csv(written["table2"], ["indicator", "limit_side", "N", "min", "max", "mean", "sd"],
+                   _table2_rows(report))
+        _write_csv(written["figure1"], ["mu1", "mu2", "p1", "p2", "N", "indicator", "similarity"],
+                   _figure1_rows(report))
+        with open(written["records"], "w") as handle:
+            for record in report.records:
+                handle.write(json.dumps(record.to_dict(), separators=(",", ":")))
+                handle.write("\n")
+        written["manifest"] = _write_manifest(outdir, {
+            **_run_inputs(config),
+            "mu_values": list(config.mu_values),
+            "p_values": list(config.p_values),
+            "n_values": list(config.n_values),
+            "configurations": len(report.records),
+            "total_draws": total_draws([r.params for r in report.records]),
+        })
     except OSError as exc:
         raise RuntimeError(f"failed writing {exc.filename}: {exc.strerror}") from exc
     return written
@@ -332,14 +282,6 @@ def _emit_table4(outdir: Path) -> Path:
     return path
 
 
-_MODE_ARTIFACTS = {
-    "sweep": ("table1", "table2", "figure1", "records", "manifest"),
-    "table1": ("table1", "manifest"),
-    "table2": ("table2", "manifest"),
-    "figure1": ("figure1", "manifest"),
-}
-
-
 def _execute(config: RunConfig) -> None:
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -370,15 +312,13 @@ def _execute(config: RunConfig) -> None:
         mu_overall=config.mu_overall,
         replicates=config.replicates,
     )
-    if not grid:
-        raise RuntimeError("grid contains no feasible configurations")
     log.info(
         "running %d configurations, %d replicates each (%.3g draws total)",
         len(grid), config.replicates, total_draws(grid),
     )
     summaries = run_sweep(grid, config.master_seed, processes=config.threads)
     report = summarize(summaries)
-    written = emit_reports(report, config, outdir, _MODE_ARTIFACTS[config.mode])
+    written = emit_reports(report, config, outdir)
     for name, path in sorted(written.items()):
         log.info("wrote %s", path)
 
@@ -394,6 +334,7 @@ def main(argv=None) -> int:
         _execute(config)
     except Exception as exc:
         log.error("run failed: %s", exc)
+        log.debug("traceback of the failed run", exc_info=True)
         return 2
     return 0
 

@@ -15,6 +15,7 @@ output is byte-identical for any execution order or process count.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import math
@@ -432,9 +433,16 @@ def run_config(ps: ParameterSet, master_seed: int, level: float = 0.95) -> Confi
     return ConfigSummary(ps, countries[0], countries[1], sims)
 
 
-def _run_config_task(args) -> tuple[int, ConfigSummary]:
+def _run_config_task(args) -> ConfigSummary:
     ps, master_seed, level = args
-    return ps.config_index, run_config(ps, master_seed, level)
+    try:
+        return run_config(ps, master_seed, level)
+    except Exception as exc:
+        # Pool workers lose the caller's context; name the configuration.
+        raise RuntimeError(
+            f"config {ps.config_index} (mu1={ps.mu1:g} mu2={ps.mu2:g} p1={ps.p1:g} "
+            f"p2={ps.p2:g} N={ps.n_world}): {exc}"
+        ) from exc
 
 
 def run_sweep(
@@ -453,27 +461,19 @@ def run_sweep(
     if processes <= 0:
         processes = os.cpu_count() or 1
     processes = min(processes, max(len(param_sets), 1))
-    step = max(len(param_sets) // 20, 1)
-
-    if processes == 1:
-        results = []
-        for done, ps in enumerate(param_sets, start=1):
-            results.append(run_config(ps, master_seed, level))
-            if done % step == 0 or done == len(param_sets):
-                log.info("completed %d/%d configurations", done, len(param_sets))
-        return results
-
     tasks = [(ps, master_seed, level) for ps in param_sets]
+    step = max(len(tasks) // 20, 1)
     chunksize = max(len(tasks) // (processes * 8), 1)
-    collected: dict[int, ConfigSummary] = {}
-    with multiprocessing.get_context().Pool(processes) as pool:
-        for done, (index, summary) in enumerate(
-            pool.imap_unordered(_run_config_task, tasks, chunksize=chunksize), start=1
-        ):
-            collected[index] = summary
+    results = []
+    with (multiprocessing.get_context().Pool(processes) if processes > 1
+          else contextlib.nullcontext()) as pool:
+        summaries = (pool.imap(_run_config_task, tasks, chunksize=chunksize) if pool
+                     else map(_run_config_task, tasks))
+        for done, summary in enumerate(summaries, start=1):
+            results.append(summary)
             if done % step == 0 or done == len(tasks):
                 log.info("completed %d/%d configurations", done, len(tasks))
-    return [collected[ps.config_index] for ps in param_sets]
+    return results
 
 
 @dataclass(frozen=True)

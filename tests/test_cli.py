@@ -3,12 +3,20 @@
 import csv
 import hashlib
 import json
+import logging
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from citesim.cli import ConfigError, RunConfig, emit_reports, main, parse_config
+import citesim
+from citesim import experiment
+from citesim.cli import ConfigError, RunConfig, _build_parser, emit_reports, main, parse_config
 from citesim.experiment import (
     INDICATOR_NAMES,
     FORMULA_INDICATOR_NAMES,
@@ -51,22 +59,10 @@ class TestParseConfig:
         assert len(generate_grid(config.mu_values, config.p_values, config.n_values)) == 6875
 
     def test_grid_restriction_flags(self):
-        config = parse_config(["--replicates", "200", "--n", "5000"])
+        config = parse_config(["--replicates", "200", "--n-values", "5000"])
         assert config.replicates == 200
         assert config.n_values == (5000,)
         assert len(generate_grid(config.mu_values, config.p_values, config.n_values)) == 1375
-
-    def test_nonincreasing_range_rejected(self):
-        with pytest.raises(ConfigError, match="nonincreasing"):
-            parse_config(["--mu1-range", "1.2", "1.0"])
-        with pytest.raises(ConfigError, match="nonincreasing"):
-            parse_config(["--mu-range", "1.2", "1.0"])
-
-    def test_range_expansion(self):
-        config = parse_config(["--mu-range", "0.9", "1.1", "0.1"])
-        assert config.mu_values == (0.9, 1.0, 1.1)
-        default_step = parse_config(["--mu-range", "0.9", "0.96"])
-        assert default_step.mu_values == (0.9, 0.92, 0.94, 0.96)
 
     def test_config_file_and_flag_override(self, tmp_path):
         path = tmp_path / "run.json"
@@ -82,6 +78,15 @@ class TestParseConfig:
         path.write_text(json.dumps({"replicate": 100}))
         with pytest.raises(ConfigError, match="replicate"):
             parse_config(["--config", str(path)])
+        path.write_text(json.dumps({"mu_range": [0.9, 1.1]}))
+        with pytest.raises(ConfigError, match="mu_range"):
+            parse_config(["--config", str(path)])
+
+    def test_config_file_value_of_wrong_type(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"n_values": 500}))
+        with pytest.raises(ConfigError):
+            parse_config(["--config", str(path)])
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -91,17 +96,38 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="replicates"):
             parse_config(["--replicates", "10"])
 
-    def test_thread_env_used_only_without_flag(self, monkeypatch):
-        monkeypatch.setenv("CITESIM_THREADS", "6")
-        assert parse_config([]).threads == 6
-        assert parse_config(["--threads", "2"]).threads == 2
-        monkeypatch.setenv("CITESIM_THREADS", "many")
-        with pytest.raises(ConfigError, match="CITESIM_THREADS"):
-            parse_config([])
-
     def test_bad_flag_value(self):
         with pytest.raises(ConfigError):
             parse_config(["--replicates", "soon"])
+
+
+class TestSurface:
+    def test_one_spelling_per_input_and_three_modes(self):
+        parser = _build_parser()
+        options = {s for action in parser._actions for s in action.option_strings}
+        assert options == {
+            "-h", "--help", "--config", "--mu-values", "--p-values", "--n-values", "--sigma",
+            "--mu-overall", "--replicates", "--seed", "--threads", "--out", "--version",
+        }
+        (mode,) = [action for action in parser._actions if action.dest == "mode"]
+        assert set(mode.choices) == {"sweep", "appendix", "table4"}
+
+    def test_readme_commands_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```\n(.*?)^```", readme.read_text(), re.M | re.S)
+        commands = [line.split("#")[0] for block in blocks for line in block.splitlines()
+                    if line.startswith("citesim ")]
+        assert commands
+        for command in commands:
+            parse_config(shlex.split(command)[1:])
+
+    def test_import_leaves_scipy_stats_out(self):
+        src = Path(citesim.__file__).resolve().parents[1]
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import citesim.cli; "
+                "print('scipy.stats' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True)
+        assert result.stdout.strip() == "False"
 
 
 def synthetic_report():
@@ -184,16 +210,6 @@ class TestModes:
         figure = read_csv(tmp_path / "figure1.csv")
         assert len(figure) - 1 == 5
 
-    def test_single_table_modes_emit_only_their_csv(self, tmp_path):
-        code = main([
-            "table1", "--mu-values", "0.9", "1.1", "--p-values", "0.2",
-            "--n-values", "100", "--replicates", "50", "--out", str(tmp_path),
-        ])
-        assert code == 0
-        assert (tmp_path / "table1.csv").exists()
-        assert not (tmp_path / "table2.csv").exists()
-        assert (tmp_path / "manifest.json").exists()
-
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["sweep", "--mu-values", "0.9", "1.0", "--p-values", "0.1", "0.2",
                 "--n-values", "120", "--replicates", "40", "--seed", "12"]
@@ -269,7 +285,10 @@ class TestExitCodes:
         ["--p-values", "0.6", "0.7"],
         ["--p-values", "-0.1", "0.1"],
         ["--n-values", "10", "--p-values", "0.05", "0.1"],
-    ], ids=["zero-world", "shares-over-one", "negative-share", "one-article-country"])
+        ["--mu-values", "1.0", "--n-values", "500"],
+        ["--mu-values", "0.9", "2.5", "--p-values", "0.25"],
+    ], ids=["zero-world", "shares-over-one", "negative-share", "one-article-country",
+            "single-location", "no-feasible-configuration"])
     def test_invalid_grid_is_config_error(self, argv, tmp_path, capsys):
         # exit 1 comes only from parse_config, before anything is sampled
         assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -277,6 +296,25 @@ class TestExitCodes:
 
     def test_unknown_mode_is_one(self):
         assert main(["tableX"]) == 1
+
+    def test_failing_configuration_is_named(self, tmp_path, monkeypatch, caplog):
+        real = experiment.replicate_statistics
+
+        def failing(ps, master_seed):
+            if ps.config_index == 1:
+                raise FloatingPointError("injected")
+            return real(ps, master_seed)
+
+        monkeypatch.setattr(experiment, "replicate_statistics", failing)
+        with caplog.at_level(logging.DEBUG, logger="citesim.cli"):
+            code = main(["--mu-values", "0.9", "1.0", "--p-values", "0.1", "0.2",
+                         "--n-values", "100", "--replicates", "40", "--threads", "1",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        failed = [rec for rec in caplog.records if rec.getMessage().startswith("run failed")]
+        assert failed[0].getMessage() == (
+            "run failed: config 1 (mu1=0.9 mu2=1 p1=0.1 p2=0.2 N=100): injected")
+        assert any(rec.levelno == logging.DEBUG and rec.exc_info for rec in caplog.records)
 
     def test_runtime_failure_is_two(self, tmp_path):
         blocker = tmp_path / "blocker"
