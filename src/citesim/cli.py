@@ -17,6 +17,8 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .appendix_stats import appendix_demo, rank_sums_from_frequency, table4_example
 from .distribution import MixtureSpec, rest_of_world_location
@@ -26,6 +28,7 @@ from .experiment import (
     DEFAULT_P_VALUES,
     FORMULA_INDICATOR_NAMES,
     INDICATOR_NAMES,
+    STREAM_VERSION,
     SweepReport,
     generate_grid,
     run_sweep,
@@ -45,7 +48,8 @@ MODES = ("sweep", "appendix", "table4")
 _APPENDIX_DEMO = {"sample1_size": 75, "sample2_size": 25, "world_size": 500, "mu": 0.9}
 # Keys a manifest.json echoes beyond the inputs, so a manifest can be fed
 # straight back through --config to reproduce a run.
-_MANIFEST_ECHO_KEYS = {"version", "configurations", "total_draws", *_APPENDIX_DEMO}
+_MANIFEST_ECHO_KEYS = {"version", "configurations", "total_draws", "stream_version",
+                       "numpy_version", *_APPENDIX_DEMO}
 
 
 class ConfigError(ValueError):
@@ -147,6 +151,13 @@ def _load_config_file(path: Path) -> dict:
     unknown = set(raw) - _CONFIG_KEYS - _MANIFEST_ECHO_KEYS
     if unknown:
         raise ConfigError(f"config: unknown key(s): {', '.join(sorted(unknown))}")
+    # A manifest of a sampled run from before stream versioning holds a seed
+    # but no stream_version: its streams were version 1.
+    stream = raw.get("stream_version", 1 if {"version", "master_seed"} <= raw.keys()
+                     else STREAM_VERSION)
+    if stream != STREAM_VERSION:
+        raise ConfigError(f"config: stream_version {stream} in {path} differs from this "
+                          f"library's {STREAM_VERSION}; the run cannot be reproduced")
     return {key: value for key, value in raw.items() if key in _CONFIG_KEYS}
 
 
@@ -251,12 +262,16 @@ def emit_reports(report: SweepReport, config: RunConfig, outdir: Path) -> dict:
 
 
 def _run_inputs(config: RunConfig) -> dict:
+    """Inputs of a sampled run, with what its random streams depend on."""
     return {
         "mode": config.mode,
         "master_seed": config.master_seed,
         "replicates": config.replicates,
         "sigma": config.sigma,
         "mu_overall": config.mu_overall,
+        "stream_version": STREAM_VERSION,
+        # numpy Generator streams are only stable within one numpy version (NEP 19).
+        "numpy_version": np.__version__,
     }
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 __all__ = [
     "InfeasibleMixtureError",
@@ -20,14 +20,21 @@ __all__ = [
     "MixtureSpec",
     "pmf",
     "cdf",
+    "table_top",
+    "count_table",
+    "sample_histograms",
     "sample",
-    "sample_articles",
     "sample_citations",
     "mixture_mean",
     "rest_of_world_location",
 ]
 
 _LOG_HALF = math.log(0.5)
+# A count table lists x = 1..top and lumps the rest into one tail cell; top
+# sets only the speed of sampling, never the distribution.  A tail of 1e-4
+# keeps both the table and the exact tail draws short.
+TABLE_TAIL_MASS = 1e-4
+MAX_TABLE_TOP = 4096
 
 
 class InfeasibleMixtureError(ValueError):
@@ -79,73 +86,78 @@ class MixtureSpec:
             )
 
 
+def _upper_tail(x, params: LognormalParams):
+    """Lognormal mass above x over the mass above 0.5, from upper-tail normal
+    probabilities ndtr(-z), which keep their relative precision far into the tail."""
+    return (ndtr((params.mu - np.log(x)) / params.sigma)
+            / ndtr((params.mu - _LOG_HALF) / params.sigma))
+
+
+def _per_count(k, mass):
+    """mass(k) for a positive integer k or an array of them; a float for a scalar."""
+    k_arr = np.asarray(k, dtype=np.float64)
+    if np.any(k_arr < 1) or np.any(k_arr != np.floor(k_arr)):
+        raise ValueError("k must be a positive integer; no mass below 1")
+    out = mass(k_arr)
+    return float(out) if np.ndim(k) == 0 else out
+
+
 def pmf(k, params: LognormalParams):
     """Probability of the shifted count k (positive integer).
 
     Closed form of the unit-interval integral of the lognormal density
-    around k, renormalised by the mass on [0.5, inf):
+    around k, renormalised by the mass on [0.5, inf), with Q(z) = Phi(-z):
 
-        [Phi((ln(k+0.5)-mu)/sigma) - Phi((ln(k-0.5)-mu)/sigma)]
-            / [1 - Phi((ln 0.5 - mu)/sigma)]
+        [Q((ln(k-0.5)-mu)/sigma) - Q((ln(k+0.5)-mu)/sigma)] / Q((ln 0.5 - mu)/sigma)
 
     Accepts a scalar or an array of integers; sums to 1 over k >= 1.
     """
-    k_arr = np.asarray(k, dtype=np.float64)
-    if np.any(k_arr < 1) or np.any(k_arr != np.floor(k_arr)):
-        raise ValueError("k must be a positive integer; no mass below 1")
-    z_hi = (np.log(k_arr + 0.5) - params.mu) / params.sigma
-    z_lo = (np.log(k_arr - 0.5) - params.mu) / params.sigma
-    # Renormalise by the mass of the continuous lognormal on [0.5, inf).
-    out = (ndtr(z_hi) - ndtr(z_lo)) / (1.0 - ndtr((_LOG_HALF - params.mu) / params.sigma))
-    if np.ndim(k) == 0:
-        return float(out)
-    return out
+    return _per_count(k, lambda x: _upper_tail(x - 0.5, params) - _upper_tail(x + 0.5, params))
 
 
 def cdf(k, params: LognormalParams):
     """Cumulative probability of shifted counts 1..k (telescoped pmf sum)."""
-    k_arr = np.asarray(k, dtype=np.float64)
-    if np.any(k_arr < 1) or np.any(k_arr != np.floor(k_arr)):
-        raise ValueError("k must be a positive integer; no mass below 1")
-    z0 = (_LOG_HALF - params.mu) / params.sigma
-    z_hi = (np.log(k_arr + 0.5) - params.mu) / params.sigma
-    out = (ndtr(z_hi) - ndtr(z0)) / (1.0 - ndtr(z0))
-    if np.ndim(k) == 0:
-        return float(out)
-    return out
+    return _per_count(k, lambda x: 1.0 - _upper_tail(x + 0.5, params))
 
 
-def sample_articles(mu, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n shifted counts (x = c + 1), article i at location mu[i].
+def table_top(mu: float, sigma: float) -> int:
+    """Last count a count table lists, for locations up to mu: less than
+    TABLE_TAIL_MASS lies above it, unless MAX_TABLE_TOP cuts it short."""
+    z = -ndtri(TABLE_TAIL_MASS * ndtr((mu - _LOG_HALF) / sigma))
+    return int(min(max(math.ceil(math.exp(mu + sigma * z) - 0.5), 1), MAX_TABLE_TOP))
 
-    A scalar mu broadcasts to every article.  Continuous lognormal variates
-    exp(mu + sigma * Z) are drawn, each article whose variate falls below
-    0.5 is redrawn at its own location, and the survivors are rounded to
-    the nearest integer.  This realises the unit-interval integral mass
-    function exactly, with no truncation error.
+
+def count_table(params: LognormalParams, top: int) -> np.ndarray:
+    """Multinomial cell probabilities P(x = 1), ..., P(x = top), P(x > top)."""
+    upper = _upper_tail(np.arange(0.5, top + 1.0), params)
+    return np.append(upper[:-1] - upper[1:], upper[-1])
+
+
+def sample_histograms(params: LognormalParams, table: np.ndarray, n: int,
+                      rng: np.random.Generator, size=None) -> tuple[np.ndarray, np.ndarray]:
+    """Histograms of n shifted counts over a count table's cells, and the tail.
+
+    hist (shape (*size, top + 1)) is one multinomial draw per histogram;
+    hist[..., k - 1] counts x = k and hist[..., top] counts x > top.  tail
+    holds the values above top, histogram by histogram, drawn exactly by
+    inverting the normal upper tail beyond top + 0.5: nothing is truncated.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-
-    def draw(loc):
-        return np.exp(loc + sigma * rng.standard_normal(loc.size))
-
-    mu = np.asarray(mu, dtype=np.float64)
-    if mu.ndim == 0:
-        mu = np.full(n, mu)
-    elif mu.shape != (n,):
-        raise ValueError(f"mu must be a scalar or one location per article, got {mu.shape}")
-    x = draw(mu)
-    bad = np.nonzero(x < 0.5)[0]
-    while bad.size:
-        x[bad] = draw(mu[bad])
-        bad = bad[x[bad] < 0.5]
-    return np.floor(x + 0.5).astype(np.int64)
+    top = table.size - 1
+    hist = rng.multinomial(n, table, size=size)
+    u = 1.0 - rng.random(int(hist[..., top].sum()))  # in (0, 1]
+    beyond = ndtr((params.mu - math.log(top + 0.5)) / params.sigma)
+    tail = np.floor(np.exp(params.mu - params.sigma * ndtri(u * beyond)) + 0.5)
+    return hist, np.maximum(tail.astype(np.int64), top + 1)
 
 
 def sample(params: LognormalParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n shifted counts (x = c + 1, every value >= 1) from one population."""
-    return sample_articles(params.mu, params.sigma, n, rng)
+    """Draw n shifted counts (x = c + 1, every value >= 1) from one population:
+    one histogram draw, expanded into articles in random order."""
+    top = table_top(params.mu, params.sigma)
+    hist, tail = sample_histograms(params, count_table(params, top), n, rng)
+    return rng.permutation(np.concatenate([np.repeat(np.arange(1, top + 1), hist[:top]), tail]))
 
 
 def sample_citations(params: LognormalParams, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,15 +2,17 @@
 
 A configuration fixes the two country location parameters, their world
 shares, the world size and the replicate count.  Each replicate draws a
-full world (country 1, country 2, rest of world at the solved location),
-computes the five indicators for both countries, and the per-replicate
-statistics are folded into empirical intervals, formula intervals
-evaluated at the replicate-mean statistics, similarity scores and
-formula-vs-model discrepancies.
+full world (country 1, country 2, rest of world at the solved location)
+as one histogram of citation counts per group, computes the five
+indicators for both countries from those histograms, and the
+per-replicate statistics are folded into empirical intervals, formula
+intervals evaluated at the replicate-mean statistics, similarity scores
+and formula-vs-model discrepancies.
 
-Determinism contract: every replicate's random stream is derived by
-hashing (master_seed, config_index, replicate_index, role), so sweep
-output is byte-identical for any execution order or process count.
+Determinism contract: each configuration has one random stream, seeded
+by hashing (master_seed, config_index, 0, role); its replicates are drawn
+from it in blocks of REPLICATE_BLOCK.  Sweep output is therefore
+byte-identical for any execution order or process count.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import MixtureSpec, rest_of_world_location, sample_articles
-from .indicators import TOP_SHARES, survival_counts, tie_credit
+from .distribution import (LognormalParams, MixtureSpec, count_table, rest_of_world_location,
+                           sample_histograms, table_top)
+from .indicators import TOP_SHARES, histogram_survival, tie_credit
 from .intervals import (
     Interval,
     SimilarityInput,
@@ -40,6 +43,7 @@ from .intervals import (
 __all__ = [
     "INDICATOR_NAMES",
     "FORMULA_INDICATOR_NAMES",
+    "STREAM_VERSION",
     "ParameterSet",
     "ReplicateStats",
     "FormulaComparison",
@@ -69,6 +73,11 @@ FORMULA_INDICATOR_NAMES = ("geo", "top1", "top10", "top50")
 DEFAULT_MU_VALUES = tuple(round(0.9 + 0.02 * i, 10) for i in range(11))
 DEFAULT_P_VALUES = (0.05, 0.1, 0.15, 0.2, 0.25)
 DEFAULT_N_VALUES = (500, 1000, 5000, 10000, 50000)
+
+# Version of the random streams, recorded in manifest.json.  2: one stream
+# per configuration, drawing group histograms a block of replicates at a time.
+STREAM_VERSION = 2
+REPLICATE_BLOCK = 64  # bounds the histogram arrays held at once
 
 
 @dataclass(frozen=True)
@@ -312,23 +321,52 @@ def total_draws(param_sets) -> int:
     return sum(ps.replicates * ps.n_world for ps in param_sets)
 
 
-def _world_locations(ps: ParameterSet) -> tuple[np.ndarray, int, int]:
-    n1, n2, n0 = ps.country_sizes()
-    mu0 = rest_of_world_location(ps.mixture())
-    mu_vec = np.repeat([ps.mu1, ps.mu2, mu0], [n1, n2, n0])
-    return mu_vec, n1, n2
+def _world_blocks(ps: ParameterSet, master_seed: int):
+    """Yield (start, table_end, draws) for each block of REPLICATE_BLOCK
+    replicates from the configuration's one stream: draws holds the
+    sample_histograms (hist, tail) of country 1, country 2 and the rest."""
+    locations = (ps.mu1, ps.mu2, rest_of_world_location(ps.mixture()))
+    table_end = table_top(max(locations), ps.sigma)
+    groups = [(LognormalParams(mu, ps.sigma), n) for mu, n in zip(locations, ps.country_sizes())]
+    tables = [count_table(params, table_end) for params, _ in groups]
+    rng = np.random.default_rng(derive_seed(master_seed, ps.config_index, 0))
+    for start in range(0, ps.replicates, REPLICATE_BLOCK):
+        size = min(REPLICATE_BLOCK, ps.replicates - start)
+        yield start, table_end, [sample_histograms(params, table, n, rng, size)
+                                 for (params, n), table in zip(groups, tables)]
+
+
+def _value_axis(table_end: int, draws) -> tuple[np.ndarray, list]:
+    """A block's histograms (float64, exact for integers) over one increasing
+    axis of citation counts: the table's 0..table_end-1, then every distinct
+    tail value drawn, so tail articles keep their exact counts."""
+    tails = [tail - 1 for _, tail in draws]
+    extra = np.unique(np.concatenate(tails))
+    hists = []
+    for (hist, _), tail in zip(draws, tails):
+        ext = np.zeros((hist.shape[0], table_end + extra.size))
+        ext[:, :table_end] = hist[:, :table_end]
+        rows = np.repeat(np.arange(hist.shape[0]), hist[:, table_end])
+        np.add.at(ext, (rows, table_end + np.searchsorted(extra, tail)), 1.0)
+        hists.append(ext)
+    return np.concatenate([np.arange(table_end), extra]).astype(np.float64), hists
 
 
 def replicate_world(ps: ParameterSet, master_seed: int, replicate_index: int) -> np.ndarray:
     """Reconstruct the citation counts of one replicate's world.
 
     Articles [0, n1) belong to country 1, [n1, n1+n2) to country 2 and the
-    remainder to the rest of the world.  Useful for inspecting the exact
-    sample behind any reported statistic.
+    remainder to the rest of the world, each group in increasing order.
+    Useful for inspecting the exact sample behind any reported statistic.
     """
-    mu_vec, _, _ = _world_locations(ps)
-    rng = np.random.default_rng(derive_seed(master_seed, ps.config_index, replicate_index))
-    return sample_articles(mu_vec, ps.sigma, ps.n_world, rng) - 1
+    if not 0 <= replicate_index < ps.replicates:
+        raise ValueError(f"replicate_index must lie in [0, {ps.replicates})")
+    for start, table_end, draws in _world_blocks(ps, master_seed):
+        if replicate_index < start + REPLICATE_BLOCK:
+            values, hists = _value_axis(table_end, draws)
+            row = replicate_index - start
+            return np.concatenate([np.repeat(values, h[row].astype(np.int64)) for h in hists]
+                                  ).astype(np.int64)
 
 
 def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
@@ -336,9 +374,10 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
 
     For each replicate: per-country arithmetic mean, mean and sample
     standard deviation of ln(1 + c), and the three top-X shares computed
-    against the full world sample with proportional tie credit.
+    against the full world sample with proportional tie credit, all
+    reduced from the group histograms a block of replicates at a time.
     """
-    mu_vec, n1, n2 = _world_locations(ps)
+    n1, n2, _ = ps.country_sizes()
     reps = ps.replicates
     sizes = (n1, n2)
 
@@ -347,25 +386,23 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
     log_sd = np.empty((2, reps))
     top = np.empty((3, 2, reps))
 
-    for r in range(reps):
-        rng = np.random.default_rng(derive_seed(master_seed, ps.config_index, r))
-        counts = sample_articles(mu_vec, ps.sigma, ps.n_world, rng) - 1
-        c1 = counts[:n1]
-        c2 = counts[n1 : n1 + n2]
-        surv_w = survival_counts(counts)
-        surv_c = (survival_counts(c1), survival_counts(c2))
+    for start, table_end, draws in _world_blocks(ps, master_seed):
+        values, hists = _value_axis(table_end, draws)
+        block = slice(start, start + hists[0].shape[0])
+        world_surv = histogram_survival(hists[0] + hists[1] + hists[2])
+        country_surv = [histogram_survival(h) for h in hists[:2]]
         for j, share in enumerate(TOP_SHARES):
-            _, _, credits = tie_credit(surv_w, share, surv_c)
+            _, _, credits = tie_credit(world_surv, share, country_surv)
             for i in (0, 1):
-                top[j, i, r] = credits[i] / sizes[i]
-        for i, cc in enumerate((c1, c2)):
-            arith[i, r] = cc.mean()
-            y = np.log1p(cc)
-            m = float(y.mean())
-            log_mean[i, r] = m
+                top[j, i, block] = credits[i] / sizes[i]
+        logs = np.log1p(values)
+        for i, n in enumerate(sizes):
+            arith[i, block] = hists[i] @ values / n
+            m = hists[i] @ logs / n
+            log_mean[i, block] = m
             # two-pass-free sample sd; magnitudes here keep it well conditioned
-            ss = float(y @ y) - cc.size * m * m
-            log_sd[i, r] = math.sqrt(max(ss, 0.0) / (cc.size - 1))
+            ss = hists[i] @ (logs * logs) - n * m * m
+            log_sd[i, block] = np.sqrt(np.maximum(ss, 0.0) / (n - 1))
 
     return ReplicateStats(n1=n1, n2=n2, arith=arith, log_mean=log_mean, log_sd=log_sd, top=top)
 

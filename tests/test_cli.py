@@ -28,19 +28,19 @@ from citesim.experiment import (
 
 ALL_N = (500, 1000, 5000, 10000, 50000)
 
-# A fixed small sweep and its artifact hashes, taken with numpy 2.4.6 and
-# scipy 1.17.1.  The N=60 rows tie often at the percentile cutoffs, which
-# exercises the fractional tie-credit rule.  numpy Generator streams are
-# only stable within one numpy version (NEP 19).  A change that alters
-# these hashes must say so in CHANGES.md.
+# A fixed small sweep and its artifact hashes, taken at stream version 2
+# with numpy 2.4.6 and scipy 1.17.1.  The N=60 rows tie often at the
+# percentile cutoffs, which exercises the fractional tie-credit rule.
+# numpy Generator streams are only stable within one numpy version
+# (NEP 19).  A change that alters these hashes must say so in CHANGES.md.
 GOLDEN_ARGS = [
     "sweep", "--mu-values", "0.9", "0.96", "1.1", "--p-values", "0.05", "0.25",
     "--n-values", "60", "500", "--replicates", "40", "--seed", "3", "--threads", "1",
 ]
 GOLDEN_SHA256 = {
-    "records.jsonl": "a64410c9826faa4ed7a0f6ad9687f79abc92f33c609705c744dca35554a07c1d",
+    "records.jsonl": "93c515383cb10128c15559e8c6ab652249fa47b302935899343d54fabbb89054",
     "table1.csv": "e6908b8889891e51eafd03f3ef73a0aef03a01023c4b85a96536336dc1ec070e",
-    "table2.csv": "a774e24898e83dbb2031e90950f00d49c46a74a545ee8a7bbff39b91e940d27c",
+    "table2.csv": "c826d8e472362ec7a4fd26b2102fd35bbc9ab1e9e95d5437959d055aa9e6747f",
 }
 
 
@@ -161,6 +161,8 @@ class TestEmitReports:
         assert manifest["master_seed"] == 17
         assert manifest["n_values"] == list(ALL_N)
         assert "version" in manifest
+        assert manifest["stream_version"] == 2
+        assert manifest["numpy_version"] == np.__version__
 
 
 class TestModes:
@@ -237,6 +239,22 @@ class TestModes:
         assert replay == 0
         for name in ("table1.csv", "table2.csv", "figure1.csv", "records.jsonl"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert json.loads((first / "manifest.json").read_text())["stream_version"] == 2
+
+    @pytest.mark.parametrize("edit", [{"stream_version": 1}, {"stream_version": None}],
+                             ids=["older-streams", "before-stream-versions"])
+    def test_manifest_of_other_streams_is_refused(self, edit, tmp_path, capsys):
+        assert main(["sweep", "--mu-values", "0.9", "1.0", "--p-values", "0.2",
+                     "--n-values", "120", "--replicates", "40", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest.update(edit)
+        if manifest["stream_version"] is None:
+            del manifest["stream_version"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["--config", str(path), "--out", str(tmp_path / "replay")]) == 1
+        assert "stream_version 1" in capsys.readouterr().err
+        assert not (tmp_path / "replay").exists()
 
     def test_tables_recomputable_from_records(self, tmp_path):
         assert main([

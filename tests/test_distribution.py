@@ -14,11 +14,11 @@ from citesim.distribution import (
     LognormalParams,
     MixtureSpec,
     cdf,
+    count_table,
     mixture_mean,
     pmf,
     rest_of_world_location,
     sample,
-    sample_articles,
     sample_citations,
 )
 from citesim.experiment import DEFAULT_MU_VALUES, DEFAULT_P_VALUES
@@ -51,6 +51,21 @@ class TestPmf:
         partial = np.cumsum(masses)
         assert partial[-1] <= 1.0
         assert partial[-1] > 0.9999
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    def test_far_tail_matches_mpmath(self, sigma):
+        mpmath = pytest.importorskip("mpmath")
+        params = LognormalParams(1.0, sigma)
+
+        def upper(x):  # lognormal mass above x, unnormalised, at 50 digits
+            return mpmath.ncdf((1.0 - mpmath.log(x)) / sigma)
+
+        with mpmath.workdps(50):
+            for k in (1, 10, 100, 1000, 3000, 10_000):
+                exact = (upper(k - 0.5) - upper(k + 0.5)) / upper(0.5)
+                assert pmf(k, params) == pytest.approx(float(exact), rel=1e-11), k
+            exact_tail = upper(3000.5) / upper(0.5)
+            assert count_table(params, 3000)[-1] == pytest.approx(float(exact_tail), rel=1e-11)
 
     def test_support_boundary(self):
         with pytest.raises(ValueError):
@@ -109,8 +124,6 @@ class TestSample:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             sample(STANDARD, -1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_articles(np.zeros(3), 1.0, 2, np.random.default_rng(0))
 
     def test_reproducible(self):
         a = sample(STANDARD, 1000, np.random.default_rng(42))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from citesim.distribution import LognormalParams
+from citesim.distribution import LognormalParams, rest_of_world_location, table_top
 from citesim.experiment import (
     ConfigSummary,
     FormulaComparison,
@@ -23,6 +23,7 @@ from citesim.experiment import (
     summarize,
     total_draws,
 )
+from citesim.indicators import threshold_credit
 from citesim.intervals import Interval, log_mean_interval
 from helpers import (
     COUNTRY_1,
@@ -34,6 +35,9 @@ from helpers import (
 )
 
 SMALL = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=60, replicates=50)
+# sigma = 3 puts about 1% of articles above the count table.
+HEAVY_TAIL = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=200, sigma=3.0,
+                          replicates=100)
 
 
 class TestParameterSet:
@@ -131,12 +135,19 @@ class TestTotalDraws:
 
 
 class TestReplicateStatistics:
-    def test_matches_public_indicator_pipeline(self):
-        stats = replicate_statistics(SMALL, master_seed=7)
-        n1, n2, _ = SMALL.country_sizes()
-        for r in range(SMALL.replicates):
-            counts = replicate_world(SMALL, 7, r)
-            membership = np.array([COUNTRY_1] * n1 + [COUNTRY_2] * n2 + [REST] * (60 - n1 - n2))
+    @pytest.mark.parametrize("ps", [SMALL, HEAVY_TAIL], ids=["light-tail", "heavy-tail"])
+    def test_matches_public_indicator_pipeline(self, ps):
+        stats = replicate_statistics(ps, master_seed=7)
+        n1, n2, n0 = ps.country_sizes()
+        membership = np.repeat([COUNTRY_1, COUNTRY_2, REST], [n1, n2, n0])
+        # Top-1% cutoffs among the counts drawn above the count table, which
+        # the heavy tail must reach.
+        table_end = table_top(max(ps.mu1, ps.mu2, rest_of_world_location(ps.mixture())),
+                              ps.sigma)
+        tail_cutoffs = 0
+        for r in range(ps.replicates):
+            counts = replicate_world(ps, 7, r)
+            tail_cutoffs += threshold_credit(counts, 1.0)[0] >= table_end
             world = WorldReplicate(counts, membership)
             for i, country in enumerate((COUNTRY_1, COUNTRY_2)):
                 expected = country_indicators(world, country)
@@ -147,6 +158,7 @@ class TestReplicateStatistics:
                 assert stats.top[2, i, r] == pytest.approx(expected.top50, abs=1e-12)
                 mine = counts[membership == country]
                 assert stats.log_sd[i, r] == pytest.approx(np.log1p(mine).std(ddof=1), rel=1e-9)
+        assert tail_cutoffs > 0 or ps is not HEAVY_TAIL
 
     def test_world_sampler_distribution(self):
         # equal locations everywhere turn the world into one iid sample

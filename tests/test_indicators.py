@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citesim.indicators import TOP_SHARES, threshold_credit, top_credit
+from citesim.indicators import (TOP_SHARES, histogram_survival, threshold_credit, tie_credit,
+                                top_credit)
 from helpers import (
     COUNTRY_1,
     COUNTRY_2,
@@ -72,6 +73,23 @@ class TestTopCredit:
         credit = top_credit(counts, 1.0)
         assert credit[:3] == pytest.approx([1 / 3] * 3, abs=1e-12)
         assert np.all(credit[3:] == 0.0)
+
+    def test_tie_credit_over_stacked_worlds(self):
+        # six worlds over nine values: two groups plus a rest at every value
+        rng = np.random.default_rng(5)
+        groups = rng.integers(0, 4, size=(2, 6, 9))
+        world = histogram_survival(groups.sum(axis=0) + rng.integers(1, 4, size=(6, 9)))
+        surv = [histogram_survival(g) for g in groups]
+        for x in TOP_SHARES:
+            t, frac, credits = tie_credit(world, x, surv)
+            for r in range(6):
+                t_r, frac_r, credits_r = tie_credit(world[r], x, [s[r] for s in surv])
+                assert (t[r], frac[r]) == (t_r, frac_r)
+                assert [c[r] for c in credits] == credits_r
+        with pytest.raises(ValueError, match="end in 0"):
+            tie_credit(world[:, :-1], 10.0)
+        with pytest.raises(ValueError, match="world's axis"):
+            tie_credit(world, 10.0, [surv[0][:, 1:]])
 
     def test_full_tie_gives_everyone_the_share(self):
         for x in TOP_SHARES:
