@@ -226,9 +226,9 @@ def _table2_rows(report: SweepReport):
 def _figure1_rows(report: SweepReport):
     for record in report.records:
         ps = record.params
-        for name in INDICATOR_NAMES:
-            yield [_fmt(ps.mu1), _fmt(ps.mu2), _fmt(ps.p1), _fmt(ps.p2), ps.n_world,
-                   name, _fmt(record.similarities[name])]
+        config = [_fmt(ps.mu1), _fmt(ps.mu2), _fmt(ps.p1), _fmt(ps.p2), ps.n_world]
+        for name, value in zip(INDICATOR_NAMES, record.similarity.tolist()):
+            yield [*config, name, _fmt(value)]
 
 
 def emit_reports(report: SweepReport, config: RunConfig, outdir: Path) -> dict:

@@ -7,10 +7,12 @@ as one histogram of citation counts per group, computes the five
 indicators for both countries from those histograms, and the
 per-replicate statistics are folded into empirical intervals, formula
 intervals evaluated at the replicate-mean statistics, similarity scores
-and formula-vs-model discrepancies.
+and formula-vs-model discrepancies.  Both folds work on whole arrays:
+a block of replicates is reduced at once, and a configuration's summary
+is a handful of small arrays (ConfigSummary).
 
 Determinism contract: each configuration has one random stream, seeded
-by hashing (master_seed, config_index, 0, role); its replicates are drawn
+by hashing (master_seed, config_index, role); its replicates are drawn
 from it in blocks of REPLICATE_BLOCK.  Sweep output is therefore
 byte-identical for any execution order or process count.
 """
@@ -18,36 +20,30 @@ byte-identical for any execution order or process count.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import logging
 import math
 import multiprocessing
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import (LognormalParams, MixtureSpec, count_table, rest_of_world_location,
+from .distribution import (LognormalParams, MixtureSpec, count_tables, rest_of_world_location,
                            sample_histograms, table_top)
 from .indicators import TOP_SHARES, histogram_survival, tie_credit
-from .intervals import (
-    Interval,
-    SimilarityInput,
-    empirical_interval,
-    limit_discrepancy,
-    log_mean_interval,
-    proportion_interval,
-    similarity,
-)
+from .intervals import (empirical_limits, limit_discrepancies, log_mean_limits,
+                        proportion_limits, similarities)
 
 __all__ = [
     "INDICATOR_NAMES",
     "FORMULA_INDICATOR_NAMES",
     "STREAM_VERSION",
     "ParameterSet",
+    "REPLICATE_STATISTICS",
     "ReplicateStats",
-    "FormulaComparison",
-    "IndicatorSummary",
     "ConfigSummary",
     "Table1Cell",
     "Table2Row",
@@ -69,6 +65,9 @@ INDICATOR_NAMES = ("arith", "geo", "top1", "top10", "top50")
 # Indicators with a closed-form interval to compare against the modelled one
 # (no reliable formula exists for the arithmetic mean of this distribution).
 FORMULA_INDICATOR_NAMES = ("geo", "top1", "top10", "top50")
+# Rows of ReplicateStats.values: the five indicators in INDICATOR_NAMES
+# order, the geometric mean as its ln(1 + c) mean, then the ln(1 + c) sd.
+REPLICATE_STATISTICS = ("arith", "log_mean", "top1", "top10", "top50", "log_sd")
 
 DEFAULT_MU_VALUES = tuple(round(0.9 + 0.02 * i, 10) for i in range(11))
 DEFAULT_P_VALUES = (0.05, 0.1, 0.15, 0.2, 0.25)
@@ -138,55 +137,92 @@ class ParameterSet:
 class ReplicateStats:
     """Per-replicate statistics for one configuration.
 
-    arith/log_mean/log_sd have shape (2, R) indexed by country;
-    top has shape (3, 2, R) indexed by (share in TOP_SHARES, country).
-    log_mean and log_sd describe ln(1 + c); the offset geometric mean of a
-    replicate is expm1(log_mean).
+    values has shape (2, 6, R), indexed by (country, statistic, replicate)
+    with the statistics in REPLICATE_STATISTICS order.  log_mean and log_sd
+    describe ln(1 + c); the offset geometric mean of a replicate is
+    expm1(log_mean).  arith, log_mean and log_sd are (2, R) views; top is
+    a (3, 2, R) view indexed by (share in TOP_SHARES, country).
     """
 
     n1: int
     n2: int
-    arith: np.ndarray
-    log_mean: np.ndarray
-    log_sd: np.ndarray
-    top: np.ndarray
+    values: np.ndarray
+
+    @property
+    def arith(self) -> np.ndarray:
+        return self.values[:, 0]
+
+    @property
+    def log_mean(self) -> np.ndarray:
+        return self.values[:, 1]
+
+    @property
+    def top(self) -> np.ndarray:
+        return self.values[:, 2:5].swapaxes(0, 1)
+
+    @property
+    def log_sd(self) -> np.ndarray:
+        return self.values[:, 5]
 
 
-@dataclass(frozen=True)
-class FormulaComparison:
-    """Formula interval versus modelled interval, on the comparison scale.
+_SUMMARY_ARRAYS = ("mean", "empirical", "model", "formula", "discrepancy", "similarity")
+_FORMULA_INDEX = {name: k for k, name in enumerate(FORMULA_INDICATOR_NAMES)}
 
-    The comparison scale is ln(1 + c) for the geometric mean and the raw
-    proportion for the top-X shares.  Discrepancies are fractions of the
-    modelled interval's width (NaN when that interval has zero width).
+
+@dataclass(frozen=True, eq=False)
+class ConfigSummary:
+    """Everything measured for one configuration, as small read-only arrays.
+
+    Axes: country (2); indicator, in INDICATOR_NAMES order (5) or in
+    FORMULA_INDICATOR_NAMES order (4); limit side (lower, upper).
+
+    - mean (2, 5): each indicator's mean over the replicates;
+    - empirical (2, 5, 2): the empirical interval of each indicator;
+    - model (2, 4, 2) and formula (2, 4, 2): the modelled (empirical) and
+      the closed-form interval on the comparison scale, which is ln(1 + c)
+      for the geometric mean and the raw proportion for the top-X shares;
+    - discrepancy (2, 4, 2): formula-vs-model limit discrepancies, as
+      fractions of the modelled interval's width; NaN where that interval
+      has zero width (the statistic was identical in every replicate);
+    - similarity (5,): each indicator's similarity score; NaN when the
+      two countries' means coincide and in diagnostic configurations.
     """
 
-    model: Interval
-    formula: Interval
-    lower_discrepancy: float
-    upper_discrepancy: float
-
-
-@dataclass(frozen=True)
-class IndicatorSummary:
-    """Aggregate of one indicator for one country across all replicates."""
-
-    mean: float
-    empirical: Interval
-    comparison: FormulaComparison | None = None
-
-
-@dataclass(frozen=True)
-class ConfigSummary:
-    """Everything measured for one configuration."""
-
     params: ParameterSet
-    country1: dict[str, IndicatorSummary]
-    country2: dict[str, IndicatorSummary]
-    similarities: dict[str, float]
+    mean: np.ndarray
+    empirical: np.ndarray
+    model: np.ndarray
+    formula: np.ndarray
+    discrepancy: np.ndarray
+    similarity: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in _SUMMARY_ARRAYS:
+            getattr(self, name).flags.writeable = False
+
+    def __reduce__(self):
+        # Through __init__, so an unpickled summary's arrays are read-only too.
+        return ConfigSummary, (self.params, *(getattr(self, n) for n in _SUMMARY_ARRAYS))
 
     def to_dict(self) -> dict:
         ps = self.params
+        mean, empirical = self.mean.tolist(), self.empirical.tolist()
+        model, formula = self.model.tolist(), self.formula.tolist()
+        discrepancy = [[[_nan_to_none(v) for v in limits] for limits in country]
+                       for country in self.discrepancy.tolist()]
+        countries = []
+        for i in (0, 1):
+            entry = {}
+            for j, name in enumerate(INDICATOR_NAMES):
+                k = _FORMULA_INDEX.get(name)
+                entry[name] = {
+                    "mean": mean[i][j],
+                    "empirical": empirical[i][j],
+                    "model": None if k is None else model[i][k],
+                    "formula": None if k is None else formula[i][k],
+                    "discrepancy": None if k is None else discrepancy[i][k],
+                }
+            countries.append(entry)
         return {
             "config_index": ps.config_index,
             "mu1": ps.mu1,
@@ -198,9 +234,10 @@ class ConfigSummary:
             "mu_overall": ps.mu_overall,
             "replicates": ps.replicates,
             "diagnostic": ps.diagnostic,
-            "similarity": {k: _nan_to_none(v) for k, v in self.similarities.items()},
-            "country1": {k: _summary_dict(v) for k, v in self.country1.items()},
-            "country2": {k: _summary_dict(v) for k, v in self.country2.items()},
+            "similarity": {name: _nan_to_none(v)
+                           for name, v in zip(INDICATOR_NAMES, self.similarity.tolist())},
+            "country1": countries[0],
+            "country2": countries[1],
         }
 
 
@@ -208,31 +245,15 @@ def _nan_to_none(value: float):
     return None if value != value else value
 
 
-def _summary_dict(summary: IndicatorSummary) -> dict:
-    cmp = summary.comparison
-    return {
-        "mean": summary.mean,
-        "empirical": [summary.empirical.lower, summary.empirical.upper],
-        "model": None if cmp is None else [cmp.model.lower, cmp.model.upper],
-        "formula": None if cmp is None else [cmp.formula.lower, cmp.formula.upper],
-        "discrepancy": None if cmp is None else [
-            _nan_to_none(cmp.lower_discrepancy), _nan_to_none(cmp.upper_discrepancy)
-        ],
-    }
-
-
-def derive_seed(
-    master_seed: int,
-    config_index: int,
-    replicate_index: int,
-    stream_role: str = "world",
-) -> int:
+def derive_seed(master_seed: int, config_index: int, stream_role: str = "world") -> int:
     """Collision-resistant 128-bit seed for one random stream.
 
     Pure function of its arguments, so identical streams are produced
     regardless of execution order, process count or platform.
     """
-    payload = f"{master_seed}:{config_index}:{replicate_index}:{stream_role}".encode()
+    # The 0 was a per-replicate field before stream version 2; it stays in
+    # the hashed payload so that no stream moves.
+    payload = f"{master_seed}:{config_index}:0:{stream_role}".encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:16], "little")
 
 
@@ -321,35 +342,55 @@ def total_draws(param_sets) -> int:
     return sum(ps.replicates * ps.n_world for ps in param_sets)
 
 
+@functools.lru_cache(maxsize=64)
+def _group_tables(locations: tuple, sigma: float):
+    """(table_end, params, tables) of the groups at these locations: the
+    last count the tables list, each group's LognormalParams and its
+    read-only count table.  Sweep neighbours differ only in N, so they
+    share these."""
+    table_end = table_top(max(locations), sigma)
+    tables = count_tables(locations, sigma, table_end)
+    tables.flags.writeable = False
+    return table_end, tuple(LognormalParams(mu, sigma) for mu in locations), tables
+
+
 def _world_blocks(ps: ParameterSet, master_seed: int):
     """Yield (start, table_end, draws) for each block of REPLICATE_BLOCK
     replicates from the configuration's one stream: draws holds the
     sample_histograms (hist, tail) of country 1, country 2 and the rest."""
     locations = (ps.mu1, ps.mu2, rest_of_world_location(ps.mixture()))
-    table_end = table_top(max(locations), ps.sigma)
-    groups = [(LognormalParams(mu, ps.sigma), n) for mu, n in zip(locations, ps.country_sizes())]
-    tables = [count_table(params, table_end) for params, _ in groups]
-    rng = np.random.default_rng(derive_seed(master_seed, ps.config_index, 0))
+    table_end, params, tables = _group_tables(locations, ps.sigma)
+    groups = list(zip(params, ps.country_sizes(), tables))
+    rng = np.random.default_rng(derive_seed(master_seed, ps.config_index))
     for start in range(0, ps.replicates, REPLICATE_BLOCK):
         size = min(REPLICATE_BLOCK, ps.replicates - start)
-        yield start, table_end, [sample_histograms(params, table, n, rng, size)
-                                 for (params, n), table in zip(groups, tables)]
+        yield start, table_end, [sample_histograms(group, table, n, rng, size)
+                                 for group, n, table in groups]
 
 
-def _value_axis(table_end: int, draws) -> tuple[np.ndarray, list]:
-    """A block's histograms (float64, exact for integers) over one increasing
-    axis of citation counts: the table's 0..table_end-1, then every distinct
-    tail value drawn, so tail articles keep their exact counts."""
-    tails = [tail - 1 for _, tail in draws]
-    extra = np.unique(np.concatenate(tails))
-    hists = []
-    for (hist, _), tail in zip(draws, tails):
-        ext = np.zeros((hist.shape[0], table_end + extra.size))
-        ext[:, :table_end] = hist[:, :table_end]
-        rows = np.repeat(np.arange(hist.shape[0]), hist[:, table_end])
-        np.add.at(ext, (rows, table_end + np.searchsorted(extra, tail)), 1.0)
-        hists.append(ext)
-    return np.concatenate([np.arange(table_end), extra]).astype(np.float64), hists
+def _value_axis(table_end: int, draws) -> tuple[np.ndarray, np.ndarray]:
+    """A block's histograms over one increasing axis of citation counts.
+
+    The axis is the table's 0..table_end-1, then every distinct tail value
+    drawn, so tail articles keep their exact counts.  The histograms
+    (float64, exact for integers) have shape (4, B, axis size), stacked as
+    (world, country 1, country 2, rest); the world is the sum of the others.
+    """
+    tails = np.concatenate([tail for _, tail in draws]) - 1
+    extra = np.unique(tails) if tails.size else tails
+    blocks = draws[0][0].shape[0]
+    hists = np.zeros((4, blocks, table_end + extra.size))
+    for group, (hist, _) in enumerate(draws, start=1):
+        hists[group, :, :table_end] = hist[:, :table_end]
+    if tails.size:
+        # Row group * blocks + r of the flattened histograms is replicate r of
+        # that group; tails lists each group's values replicate by replicate.
+        per_row = np.concatenate([hist[:, table_end] for hist, _ in draws])
+        np.add.at(hists.reshape(4 * blocks, -1),
+                  (np.repeat(np.arange(blocks, 4 * blocks), per_row),
+                   table_end + np.searchsorted(extra, tails)), 1.0)
+    np.sum(hists[1:], axis=0, out=hists[0])
+    return np.concatenate([np.arange(table_end, dtype=np.float64), extra]), hists
 
 
 def replicate_world(ps: ParameterSet, master_seed: int, replicate_index: int) -> np.ndarray:
@@ -365,8 +406,8 @@ def replicate_world(ps: ParameterSet, master_seed: int, replicate_index: int) ->
         if replicate_index < start + REPLICATE_BLOCK:
             values, hists = _value_axis(table_end, draws)
             row = replicate_index - start
-            return np.concatenate([np.repeat(values, h[row].astype(np.int64)) for h in hists]
-                                  ).astype(np.int64)
+            return np.concatenate([np.repeat(values, h[row].astype(np.int64))
+                                   for h in hists[1:]]).astype(np.int64)
 
 
 def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
@@ -374,100 +415,65 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
 
     For each replicate: per-country arithmetic mean, mean and sample
     standard deviation of ln(1 + c), and the three top-X shares computed
-    against the full world sample with proportional tie credit, all
-    reduced from the group histograms a block of replicates at a time.
+    against the full world sample with proportional tie credit.  Each
+    block of replicates is reduced in one pass: one survival count over
+    the stacked (world, country 1, country 2) histograms and one tie
+    credit over all three shares.
     """
     n1, n2, _ = ps.country_sizes()
-    reps = ps.replicates
-    sizes = (n1, n2)
-
-    arith = np.empty((2, reps))
-    log_mean = np.empty((2, reps))
-    log_sd = np.empty((2, reps))
-    top = np.empty((3, 2, reps))
+    sizes = np.array([[n1], [n2]])
+    shares = np.array(TOP_SHARES)[:, None]  # broadcasts against the replicates
+    values = np.empty((2, len(REPLICATE_STATISTICS), ps.replicates))
 
     for start, table_end, draws in _world_blocks(ps, master_seed):
-        values, hists = _value_axis(table_end, draws)
-        block = slice(start, start + hists[0].shape[0])
-        world_surv = histogram_survival(hists[0] + hists[1] + hists[2])
-        country_surv = [histogram_survival(h) for h in hists[:2]]
-        for j, share in enumerate(TOP_SHARES):
-            _, _, credits = tie_credit(world_surv, share, country_surv)
-            for i in (0, 1):
-                top[j, i, block] = credits[i] / sizes[i]
-        logs = np.log1p(values)
-        for i, n in enumerate(sizes):
-            arith[i, block] = hists[i] @ values / n
-            m = hists[i] @ logs / n
-            log_mean[i, block] = m
-            # two-pass-free sample sd; magnitudes here keep it well conditioned
-            ss = hists[i] @ (logs * logs) - n * m * m
-            log_sd[i, block] = np.sqrt(np.maximum(ss, 0.0) / (n - 1))
+        axis, hists = _value_axis(table_end, draws)
+        block = slice(start, start + hists.shape[1])
+        surv = histogram_survival(hists[:3])
+        _, _, credits = tie_credit(surv[0], shares, surv[1:3])
+        values[:, 2:5, block] = credits / sizes[:, :, None]
+        logs = np.log1p(axis)
+        countries = hists[1:3]
+        values[:, 0, block] = countries @ axis / sizes
+        m = countries @ logs / sizes
+        values[:, 1, block] = m
+        # two-pass-free sample sd; magnitudes here keep it well conditioned
+        ss = countries @ (logs * logs) - sizes * m * m
+        values[:, 5, block] = np.sqrt(np.maximum(ss, 0.0) / (sizes - 1))
 
-    return ReplicateStats(n1=n1, n2=n2, arith=arith, log_mean=log_mean, log_sd=log_sd, top=top)
-
-
-def _compare(model: Interval, formula: Interval) -> FormulaComparison:
-    if model.width > 0.0:
-        lower, upper = limit_discrepancy(model, formula)
-    else:
-        # Degenerate modelled interval (statistic identical in all kept
-        # replicates); the ratio is undefined, recorded as NaN and skipped
-        # by summarize().
-        lower = upper = math.nan
-    return FormulaComparison(model, formula, lower, upper)
+    return ReplicateStats(n1=n1, n2=n2, values=values)
 
 
 def run_config(ps: ParameterSet, master_seed: int, level: float = 0.95) -> ConfigSummary:
-    """Simulate one configuration and aggregate its replicate statistics."""
+    """Simulate one configuration and summarise its replicate statistics.
+
+    The replicate statistics of both countries form one (country,
+    statistic, replicate) array, which is sorted once and averaged once;
+    only the offset geometric mean is averaged apart, from expm1(log_mean).
+    The t and normal quantiles are taken once, for both countries.
+    """
     rs = replicate_statistics(ps, master_seed)
-    countries: list[dict[str, IndicatorSummary]] = []
-    for i, n_c in enumerate((rs.n1, rs.n2)):
-        summaries: dict[str, IndicatorSummary] = {}
-
-        arith_stats = rs.arith[i]
-        summaries["arith"] = IndicatorSummary(
-            mean=float(arith_stats.mean()),
-            empirical=empirical_interval(arith_stats, level),
-        )
-
-        # Geometric mean: similarity runs on the offset scale, the formula
-        # comparison on the ln(1+c) scale.  expm1 is monotone, so the offset
-        # empirical interval is the transform of the log-scale one.
-        log_model = empirical_interval(rs.log_mean[i], level)
-        log_formula = log_mean_interval(
-            float(np.mean(rs.log_mean[i])), float(np.mean(rs.log_sd[i])), n_c, level
-        )
-        geo_stats = np.expm1(rs.log_mean[i])
-        summaries["geo"] = IndicatorSummary(
-            mean=float(geo_stats.mean()),
-            empirical=Interval(
-                math.expm1(log_model.lower), math.expm1(log_model.upper), kind="empirical"
-            ),
-            comparison=_compare(log_model, log_formula),
-        )
-
-        for j, name in enumerate(("top1", "top10", "top50")):
-            p_stats = rs.top[j, i]
-            p_mean = float(p_stats.mean())
-            model = empirical_interval(p_stats, level)
-            summaries[name] = IndicatorSummary(
-                mean=p_mean,
-                empirical=model,
-                comparison=_compare(model, proportion_interval(p_mean, n_c, level)),
-            )
-        countries.append(summaries)
-
-    sims: dict[str, float] = {}
-    for name in INDICATOR_NAMES:
-        if ps.mu1 == ps.mu2:
-            # No population difference to test for; the score is undefined.
-            sims[name] = math.nan
-            continue
-        lo, hi = sorted((countries[0][name], countries[1][name]), key=lambda s: s.mean)
-        sims[name] = similarity(SimilarityInput(lo.mean, hi.mean, lo.empirical, hi.empirical))
-
-    return ConfigSummary(ps, countries[0], countries[1], sims)
+    sizes = np.array([rs.n1, rs.n2])
+    means = rs.values.sum(axis=-1) / ps.replicates  # np.mean, bit for bit
+    # The geometric mean's model interval is on the ln(1 + c) scale.
+    limits = empirical_limits(rs.values[:, :len(INDICATOR_NAMES)], level)
+    mean = means[:, :len(INDICATOR_NAMES)].copy()
+    mean[:, 1] = np.expm1(rs.log_mean).sum(axis=-1) / ps.replicates
+    # expm1 is monotone, so the offset-scale empirical interval is the
+    # transform of the log-scale one.
+    empirical = limits.copy()
+    empirical[:, 1] = [[math.expm1(v) for v in pair] for pair in limits[:, 1].tolist()]
+    model = limits[:, 1:]
+    formula = np.concatenate([
+        log_mean_limits(means[:, 1], means[:, 5], sizes, level)[:, None],
+        proportion_limits(means[:, 2:5], sizes[:, None], level),
+    ], axis=1)
+    if ps.mu1 == ps.mu2:
+        # No population difference to test for; the score is undefined.
+        similarity = np.full(len(INDICATOR_NAMES), math.nan)
+    else:
+        similarity = similarities(mean, empirical)
+    return ConfigSummary(ps, mean, empirical, model, formula,
+                         limit_discrepancies(model, formula), similarity)
 
 
 def _run_config_task(args) -> ConfigSummary:
@@ -502,6 +508,7 @@ def run_sweep(
     step = max(len(tasks) // 20, 1)
     chunksize = max(len(tasks) // (processes * 8), 1)
     results = []
+    started = time.monotonic()
     with (multiprocessing.get_context().Pool(processes) if processes > 1
           else contextlib.nullcontext()) as pool:
         summaries = (pool.imap(_run_config_task, tasks, chunksize=chunksize) if pool
@@ -509,7 +516,9 @@ def run_sweep(
         for done, summary in enumerate(summaries, start=1):
             results.append(summary)
             if done % step == 0 or done == len(tasks):
-                log.info("completed %d/%d configurations", done, len(tasks))
+                rate = done / max(time.monotonic() - started, 1e-9)
+                log.info("completed %d/%d configurations (%.1f configs/s, ETA %.0f s)",
+                         done, len(tasks), rate, (len(tasks) - done) / rate)
     return results
 
 
@@ -566,23 +575,21 @@ def summarize(records) -> SweepReport:
     table2: dict[tuple[str, str, int], Table2Row] = {}
     for n_world in n_values:
         rows = [r for r in counted if r.params.n_world == n_world]
-        for name in INDICATOR_NAMES:
-            hits = sum(1 for r in rows if r.similarities[name] < 1.0)
-            table1[(n_world, name)] = Table1Cell(hits, len(rows))
-        for name in FORMULA_INDICATOR_NAMES:
-            for side in ("lower", "upper"):
-                values = []
-                for r in rows:
-                    pair = [
-                        getattr(country[name].comparison, f"{side}_discrepancy")
-                        for country in (r.country1, r.country2)
-                    ]
-                    pair = [v for v in pair if v == v]
-                    if pair:
-                        values.append(sum(pair) / len(pair))
-                if not values:
+        hits = np.count_nonzero(np.array([r.similarity for r in rows]) < 1.0, axis=0)
+        for name, count in zip(INDICATOR_NAMES, hits.tolist()):
+            table1[(n_world, name)] = Table1Cell(count, len(rows))
+        # A configuration's value is the mean of its countries' non-NaN
+        # discrepancies, sum(pair) / len(pair); it has none when both are NaN.
+        disc = np.array([r.discrepancy for r in rows])
+        kept = ~np.isnan(disc)
+        pairs = np.where(kept, disc, 0.0).sum(axis=1)
+        kept = kept.sum(axis=1)
+        for k, name in enumerate(FORMULA_INDICATOR_NAMES):
+            for side_index, side in enumerate(("lower", "upper")):
+                counts = kept[:, k, side_index]
+                arr = pairs[:, k, side_index][counts > 0] / counts[counts > 0]
+                if not arr.size:
                     continue
-                arr = np.asarray(values)
                 table2[(name, side, n_world)] = Table2Row(
                     minimum=float(arr.min()),
                     maximum=float(arr.max()),

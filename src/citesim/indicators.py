@@ -34,7 +34,7 @@ def histogram_survival(hist: np.ndarray) -> np.ndarray:
     return surv
 
 
-def tie_credit(world_surv: np.ndarray, x_percent: float, groups=()) -> tuple:
+def tie_credit(world_surv: np.ndarray, x_percent, groups=()) -> tuple:
     """Cutoff, tie fraction and each group's summed credit for the top x_percent.
 
     world_surv is the histogram_survival of the whole world, so
@@ -42,26 +42,30 @@ def tie_credit(world_surv: np.ndarray, x_percent: float, groups=()) -> tuple:
     above the cutoff value v_t fall fully inside the top x_percent; the
     articles at v_t share the remaining q - #{c > v_t} slots equally
     (q = x_percent/100 * N, kept as an exact real), each receiving frac,
-    which is 1.0 when the cutoff block fits entirely.  Each entry of
-    groups holds the survival counts of a subset of the world's articles
-    on the world's axis; its credit is #{c > v_t} + frac * #{c == v_t}.
+    which is 1.0 when the cutoff block fits entirely.  x_percent may be an
+    array that broadcasts against world_surv[..., 0], giving t and frac
+    that shape.  Each entry of groups holds the survival counts of a subset
+    of the world's articles on the world's axis; its credit is
+    #{c > v_t} + frac * #{c == v_t}, and credits stacks them on a leading
+    axis.
     """
     world_surv = np.asarray(world_surv)
-    if np.any(world_surv[..., -1]):
+    if world_surv[..., -1].any():
         raise ValueError("survival counts must end in 0, past the largest value")
-    q = x_percent / 100.0 * world_surv[..., 0]
-    # Largest position t with #{c >= v_t} >= q; world_surv is non-increasing.
-    t = np.count_nonzero(world_surv >= q[..., None], axis=-1) - 1
-    at = t + np.arange(t.size).reshape(t.shape) * world_surv.shape[-1]  # flat, for np.take
-    above = np.take(world_surv, at + 1)
-    frac = (q - above) / (np.take(world_surv, at) - above)
-    credits = []
-    for surv in groups:
-        if np.shape(surv) != world_surv.shape:
-            raise ValueError("group survival counts must lie on the world's axis")
-        above = np.take(surv, at + 1)
-        credits.append(above + frac * (np.take(surv, at) - above))
-    return t, frac, credits
+    groups = np.asarray(groups if len(groups) else np.empty((0, *world_surv.shape)))
+    if groups.shape[1:] != world_surv.shape:
+        raise ValueError("group survival counts must lie on the world's axis")
+    q = np.divide(x_percent, 100.0) * world_surv[..., 0]
+    # Largest position t with #{c >= v_t} >= q: world_surv is non-increasing
+    # and ends in 0 < q, so t + 1 is the first position below q.
+    t = (world_surv >= q[..., None]).argmin(axis=-1) - 1
+    width = world_surv.shape[-1]
+    at = t + np.arange(0, world_surv.size, width).reshape(world_surv.shape[:-1])  # flat
+    above = world_surv.take(at + 1)
+    frac = (q - above) / (world_surv.take(at) - above)
+    at = at + np.arange(0, groups.size, world_surv.size).reshape((-1,) + (1,) * at.ndim)
+    above = groups.take(at + 1)
+    return t, frac, above + frac * (groups.take(at) - above)
 
 
 def threshold_credit(counts, x_percent: float) -> tuple[int, float]:

@@ -1,7 +1,10 @@
 """Sweep engine tests: grid, seeding, replicate statistics, aggregation."""
 
+import hashlib
 import logging
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +13,7 @@ from scipy import stats as sps
 from citesim.distribution import LognormalParams, rest_of_world_location, table_top
 from citesim.experiment import (
     ConfigSummary,
-    FormulaComparison,
-    IndicatorSummary,
+    FORMULA_INDICATOR_NAMES,
     INDICATOR_NAMES,
     ParameterSet,
     derive_seed,
@@ -24,7 +26,16 @@ from citesim.experiment import (
     total_draws,
 )
 from citesim.indicators import threshold_credit
-from citesim.intervals import Interval, log_mean_interval
+from citesim.intervals import (
+    Interval,
+    SimilarityInput,
+    empirical_interval,
+    limit_discrepancy,
+    log_mean_interval,
+    proportion_interval,
+    similarities,
+    similarity,
+)
 from helpers import (
     COUNTRY_1,
     COUNTRY_2,
@@ -108,21 +119,25 @@ class TestGrid:
 
 class TestDeriveSeed:
     def test_deterministic(self):
-        assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
+        assert derive_seed(1, 2) == derive_seed(1, 2)
 
     def test_sensitive_to_every_component(self):
-        base = derive_seed(1, 2, 3, "world")
-        assert derive_seed(2, 2, 3, "world") != base
-        assert derive_seed(1, 3, 3, "world") != base
-        assert derive_seed(1, 2, 4, "world") != base
-        assert derive_seed(1, 2, 3, "other") != base
+        base = derive_seed(1, 2, "world")
+        assert derive_seed(2, 2, "world") != base
+        assert derive_seed(1, 3, "world") != base
+        assert derive_seed(1, 2, "other") != base
 
-    def test_replicate_indices_all_distinct(self):
-        seeds = {derive_seed(1, 0, r) for r in range(10_000)}
+    def test_config_indices_all_distinct(self):
+        seeds = {derive_seed(1, c) for c in range(10_000)}
         assert len(seeds) == 10_000
 
+    def test_stream_version_2_payload(self):
+        # The hashed payload keeps the stream-version-1 replicate field at 0.
+        payload = hashlib.sha256(b"1:2:0:world").digest()[:16]
+        assert derive_seed(1, 2) == int.from_bytes(payload, "little")
+
     def test_128_bit_range(self):
-        assert 0 <= derive_seed(0, 0, 0) < 2**128
+        assert 0 <= derive_seed(0, 0) < 2**128
 
 
 class TestTotalDraws:
@@ -188,15 +203,70 @@ class TestReplicateStatistics:
         assert log_scale.upper == pytest.approx(stats.log_mean[0, 0] + half, rel=1e-12)
 
 
+# Two articles per country: at seed 7 both countries' top-1% shares are 0 in
+# enough replicates for zero-width model intervals, and their means coincide.
+TINY_DIAGNOSTIC = ParameterSet(mu1=1.0, mu2=1.0, p1=0.002, p2=0.002, n_world=1000,
+                               replicates=50, diagnostic=True)
+
+
 class TestRunConfig:
     def test_diagnostic_mode_yields_nan_similarity(self):
         ps = ParameterSet(
             mu1=1.0, mu2=1.0, p1=0.2, p2=0.2, n_world=60, replicates=50, diagnostic=True
         )
         summary = run_config(ps, master_seed=1)
-        assert all(math.isnan(v) for v in summary.similarities.values())
+        assert summary.similarity.shape == (len(INDICATOR_NAMES),)
+        assert np.isnan(summary.similarity).all()
         report = summarize([summary])
         assert report.table1 == {}
+
+    @pytest.mark.parametrize("ps", [SMALL, TINY_DIAGNOSTIC], ids=["small", "diagnostic"])
+    def test_arrays_match_the_interval_functions(self, ps):
+        # One implementation per formula: every entry of the summary equals,
+        # exactly, what the Interval functions give on the replicate statistics.
+        summary = run_config(ps, master_seed=7)
+        stats = replicate_statistics(ps, master_seed=7)
+        series = {"arith": stats.arith, "geo": stats.log_mean,
+                  "top1": stats.top[0], "top10": stats.top[1], "top50": stats.top[2]}
+        sizes = (stats.n1, stats.n2)
+        empirical = {}
+        for i, n in enumerate(sizes):
+            for j, name in enumerate(INDICATOR_NAMES):
+                values = series[name][i]
+                interval = empirical_interval(values)
+                mean = float(values.mean())
+                if name == "geo":
+                    mean = float(np.expm1(values).mean())
+                    interval = Interval(math.expm1(interval.lower), math.expm1(interval.upper))
+                empirical[i, name] = (mean, interval)
+                assert summary.mean[i, j] == mean
+                assert summary.empirical[i, j].tolist() == [interval.lower, interval.upper]
+            for k, name in enumerate(FORMULA_INDICATOR_NAMES):
+                model = empirical_interval(series[name][i])
+                p = float(series[name][i].mean())
+                formula = (log_mean_interval(p, float(stats.log_sd[i].mean()), n)
+                           if name == "geo" else proportion_interval(p, n))
+                assert summary.model[i, k].tolist() == [model.lower, model.upper]
+                assert summary.formula[i, k].tolist() == [formula.lower, formula.upper]
+                if model.width > 0:
+                    assert summary.discrepancy[i, k].tolist() == list(
+                        limit_discrepancy(model, formula))
+                else:
+                    assert np.isnan(summary.discrepancy[i, k]).all()
+        scores = similarities(summary.mean, summary.empirical)
+        for j, name in enumerate(INDICATOR_NAMES):
+            (m1, int1), (m2, int2) = sorted((empirical[0, name], empirical[1, name]),
+                                            key=lambda pair: pair[0])
+            expected = similarity(SimilarityInput(m1, m2, int1, int2))
+            assert scores[j] == expected or math.isnan(scores[j]) and math.isnan(expected)
+        if ps.diagnostic:
+            assert np.isnan(summary.similarity).all()
+        else:
+            assert summary.similarity.tolist() == scores.tolist()
+        # The NaN cases occur in the diagnostic configuration only: zero-width
+        # model intervals and equal top-1% means.
+        assert np.isnan(summary.discrepancy).any() == ps.diagnostic
+        assert math.isnan(scores[INDICATOR_NAMES.index("top1")]) == ps.diagnostic
 
     def test_empirical_intervals_contain_95_percent(self):
         summary = run_config(SMALL, master_seed=7)
@@ -209,18 +279,17 @@ class TestRunConfig:
             "top10": stats.top[1],
             "top50": stats.top[2],
         }
-        for name, values in series.items():
-            for i, country in enumerate((summary.country1, summary.country2)):
-                interval = country[name].empirical
-                inside = np.count_nonzero(
-                    (values[i] >= interval.lower) & (values[i] <= interval.upper)
-                )
+        for j, (name, values) in enumerate(series.items()):
+            assert name == INDICATOR_NAMES[j]
+            for i in (0, 1):
+                lower, upper = summary.empirical[i, j]
+                inside = np.count_nonzero((values[i] >= lower) & (values[i] <= upper))
                 assert inside >= math.ceil(0.95 * reps)
 
     def test_widest_separation_distinguishes_all_indicators(self):
         ps = ParameterSet(mu1=0.9, mu2=1.1, p1=0.25, p2=0.25, n_world=50_000, replicates=200)
         summary = run_config(ps, master_seed=1)
-        assert all(v < 1.0 for v in summary.similarities.values())
+        assert (summary.similarity < 1.0).all()
 
     def test_serialisation_round_trip(self):
         summary = run_config(SMALL, master_seed=7)
@@ -231,6 +300,16 @@ class TestRunConfig:
         geo = payload["country1"]["geo"]
         assert geo["model"][0] <= geo["model"][1]
         assert geo["discrepancy"] is not None
+
+    def test_pickle_round_trip_keeps_arrays_read_only(self):
+        summary = run_config(SMALL, master_seed=7)
+        back = pickle.loads(pickle.dumps(summary))
+        assert back.to_dict() == summary.to_dict()
+        for name in ("mean", "empirical", "model", "formula", "discrepancy", "similarity"):
+            assert getattr(summary, name).flags.writeable is False
+            assert getattr(back, name).flags.writeable is False
+        with pytest.raises(ValueError):
+            summary.mean[0, 0] = 0.0
 
 
 class TestSweep:
@@ -247,19 +326,33 @@ class TestSweep:
         results = run_sweep(grid, master_seed=2, processes=2)
         assert [r.params.config_index for r in results] == [ps.config_index for ps in grid]
 
+    def test_progress_reports_rate_and_eta(self, caplog):
+        grid = generate_grid(mu_values=(0.9, 1.0), p_values=(0.1,), n_values=(100, 200),
+                             replicates=40)
+        with caplog.at_level(logging.INFO, logger="citesim.experiment"):
+            run_sweep(grid, master_seed=2)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("completed")]
+        pattern = r"completed (\d+)/2 configurations \((\d+\.\d) configs/s, ETA (\d+) s\)"
+        assert [re.fullmatch(pattern, line).group(1) for line in lines] == ["1", "2"]
+        assert re.fullmatch(pattern, lines[-1]).group(3) == "0"
+
 
 def _fake_summary(n_world, sims, diagnostic=False, discrepancy=(0.1, -0.05)):
     ps = ParameterSet(
         mu1=0.9, mu2=0.9 if diagnostic else 1.0, p1=0.1, p2=0.1,
         n_world=n_world, replicates=1000, diagnostic=diagnostic,
     )
-    unit = Interval(0.0, 1.0)
-    comparison = FormulaComparison(unit, Interval(0.0, 1.0, "formula"), *discrepancy)
-    per_country = {
-        name: IndicatorSummary(0.5, unit, None if name == "arith" else comparison)
-        for name in INDICATOR_NAMES
-    }
-    return ConfigSummary(ps, per_country, dict(per_country), dict(sims))
+    n_formula = len(FORMULA_INDICATOR_NAMES)
+    unit = np.tile([0.0, 1.0], (2, n_formula, 1))
+    return ConfigSummary(
+        ps,
+        mean=np.full((2, len(INDICATOR_NAMES)), 0.5),
+        empirical=np.tile([0.0, 1.0], (2, len(INDICATOR_NAMES), 1)),
+        model=unit,
+        formula=unit.copy(),
+        discrepancy=np.tile(np.asarray(discrepancy, dtype=float), (2, n_formula, 1)),
+        similarity=np.array([sims[name] for name in INDICATOR_NAMES]),
+    )
 
 
 class TestSummarize:

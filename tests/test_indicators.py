@@ -85,7 +85,14 @@ class TestTopCredit:
             for r in range(6):
                 t_r, frac_r, credits_r = tie_credit(world[r], x, [s[r] for s in surv])
                 assert (t[r], frac[r]) == (t_r, frac_r)
-                assert [c[r] for c in credits] == credits_r
+                assert credits[:, r].tolist() == credits_r.tolist()
+        # an array of shares broadcasts against the worlds: every share in one call
+        t, frac, credits = tie_credit(world, np.array(TOP_SHARES)[:, None], surv)
+        for j, x in enumerate(TOP_SHARES):
+            t_x, frac_x, credits_x = tie_credit(world, x, surv)
+            assert t[j].tolist() == t_x.tolist()
+            assert frac[j].tolist() == frac_x.tolist()
+            assert credits[:, j].tolist() == credits_x.tolist()
         with pytest.raises(ValueError, match="end in 0"):
             tie_credit(world[:, :-1], 10.0)
         with pytest.raises(ValueError, match="world's axis"):
