@@ -22,7 +22,6 @@ __all__ = [
     "cdf",
     "table_top",
     "count_table",
-    "count_tables",
     "sample_histograms",
     "sample",
     "sample_citations",
@@ -87,11 +86,11 @@ class MixtureSpec:
             )
 
 
-def _upper_tail(x, mu, sigma: float):
+def _upper_tail(x, params: LognormalParams):
     """Lognormal mass above x over the mass above 0.5, from upper-tail normal
-    probabilities ndtr(-z), which keep their relative precision far into the
-    tail; x and mu broadcast."""
-    return ndtr((mu - np.log(x)) / sigma) / ndtr((mu - _LOG_HALF) / sigma)
+    probabilities ndtr(-z), which keep their relative precision far into the tail."""
+    return (ndtr((params.mu - np.log(x)) / params.sigma)
+            / ndtr((params.mu - _LOG_HALF) / params.sigma))
 
 
 def _per_count(k, mass):
@@ -113,14 +112,12 @@ def pmf(k, params: LognormalParams):
 
     Accepts a scalar or an array of integers; sums to 1 over k >= 1.
     """
-    mu, sigma = params.mu, params.sigma
-    return _per_count(k, lambda x: (_upper_tail(x - 0.5, mu, sigma)
-                                    - _upper_tail(x + 0.5, mu, sigma)))
+    return _per_count(k, lambda x: _upper_tail(x - 0.5, params) - _upper_tail(x + 0.5, params))
 
 
 def cdf(k, params: LognormalParams):
     """Cumulative probability of shifted counts 1..k (telescoped pmf sum)."""
-    return _per_count(k, lambda x: 1.0 - _upper_tail(x + 0.5, params.mu, params.sigma))
+    return _per_count(k, lambda x: 1.0 - _upper_tail(x + 0.5, params))
 
 
 def table_top(mu: float, sigma: float) -> int:
@@ -132,16 +129,8 @@ def table_top(mu: float, sigma: float) -> int:
 
 def count_table(params: LognormalParams, top: int) -> np.ndarray:
     """Multinomial cell probabilities P(x = 1), ..., P(x = top), P(x > top)."""
-    return count_tables([params.mu], params.sigma, top)[0]
-
-
-def count_tables(locations, sigma: float, top: int) -> np.ndarray:
-    """The count_table of each location, all with one sigma and one top:
-    shape (len(locations), top + 1)."""
-    upper = _upper_tail(np.arange(0.5, top + 1.0), np.asarray(locations)[:, None], sigma)
-    cells = upper.copy()
-    cells[:, :-1] -= upper[:, 1:]  # P(x = k) = upper(k - 0.5) - upper(k + 0.5)
-    return cells
+    upper = _upper_tail(np.arange(0.5, top + 1.0), params)
+    return np.append(upper[:-1] - upper[1:], upper[-1])
 
 
 def sample_histograms(params: LognormalParams, table: np.ndarray, n: int,

@@ -20,7 +20,6 @@ byte-identical for any execution order or process count.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import logging
 import math
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import (LognormalParams, MixtureSpec, count_tables, rest_of_world_location,
+from .distribution import (LognormalParams, MixtureSpec, count_table, rest_of_world_location,
                            sample_histograms, table_top)
 from .indicators import TOP_SHARES, histogram_survival, tie_credit
 from .intervals import (empirical_limits, limit_discrepancies, log_mean_limits,
@@ -245,7 +244,7 @@ def _nan_to_none(value: float):
     return None if value != value else value
 
 
-def derive_seed(master_seed: int, config_index: int, stream_role: str = "world") -> int:
+def derive_seed(master_seed: int, config_index: int, *, stream_role: str = "world") -> int:
     """Collision-resistant 128-bit seed for one random stream.
 
     Pure function of its arguments, so identical streams are produced
@@ -342,30 +341,19 @@ def total_draws(param_sets) -> int:
     return sum(ps.replicates * ps.n_world for ps in param_sets)
 
 
-@functools.lru_cache(maxsize=64)
-def _group_tables(locations: tuple, sigma: float):
-    """(table_end, params, tables) of the groups at these locations: the
-    last count the tables list, each group's LognormalParams and its
-    read-only count table.  Sweep neighbours differ only in N, so they
-    share these."""
-    table_end = table_top(max(locations), sigma)
-    tables = count_tables(locations, sigma, table_end)
-    tables.flags.writeable = False
-    return table_end, tuple(LognormalParams(mu, sigma) for mu in locations), tables
-
-
 def _world_blocks(ps: ParameterSet, master_seed: int):
     """Yield (start, table_end, draws) for each block of REPLICATE_BLOCK
     replicates from the configuration's one stream: draws holds the
     sample_histograms (hist, tail) of country 1, country 2 and the rest."""
     locations = (ps.mu1, ps.mu2, rest_of_world_location(ps.mixture()))
-    table_end, params, tables = _group_tables(locations, ps.sigma)
-    groups = list(zip(params, ps.country_sizes(), tables))
+    table_end = table_top(max(locations), ps.sigma)
+    groups = [(LognormalParams(mu, ps.sigma), n) for mu, n in zip(locations, ps.country_sizes())]
+    tables = [count_table(params, table_end) for params, _ in groups]
     rng = np.random.default_rng(derive_seed(master_seed, ps.config_index))
     for start in range(0, ps.replicates, REPLICATE_BLOCK):
         size = min(REPLICATE_BLOCK, ps.replicates - start)
-        yield start, table_end, [sample_histograms(group, table, n, rng, size)
-                                 for group, n, table in groups]
+        yield start, table_end, [sample_histograms(params, table, n, rng, size)
+                                 for (params, n), table in zip(groups, tables)]
 
 
 def _value_axis(table_end: int, draws) -> tuple[np.ndarray, np.ndarray]:

@@ -44,7 +44,6 @@ _RANK_EPS = 1e-9
 # Signs of the (lower, upper) limits around a centre: centre - half is
 # computed exactly as centre + (-1.0 * half).
 _SIDES = np.array([-1.0, 1.0])
-_FLIP_UPPER = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -166,8 +165,8 @@ def limit_discrepancies(model, formula) -> np.ndarray:
     """
     model = np.asarray(model, dtype=np.float64)
     width = model[..., 1:] - model[..., :1]
-    # -(a - b) is b - a exactly, so flipping the sign gives the upper side.
-    diff = np.subtract(model, formula) * _FLIP_UPPER
+    formula = np.asarray(formula, dtype=np.float64)
+    diff = np.stack([model[..., 0] - formula[..., 0], formula[..., 1] - model[..., 1]], axis=-1)
     return np.divide(diff, width, out=np.full(diff.shape, np.nan), where=width > 0.0)
 
 

@@ -122,10 +122,18 @@ class TestDeriveSeed:
         assert derive_seed(1, 2) == derive_seed(1, 2)
 
     def test_sensitive_to_every_component(self):
-        base = derive_seed(1, 2, "world")
-        assert derive_seed(2, 2, "world") != base
-        assert derive_seed(1, 3, "world") != base
-        assert derive_seed(1, 2, "other") != base
+        base = derive_seed(1, 2, stream_role="world")
+        assert derive_seed(2, 2, stream_role="world") != base
+        assert derive_seed(1, 3, stream_role="world") != base
+        assert derive_seed(1, 2, stream_role="other") != base
+
+    def test_stream_version_1_calls_rejected(self):
+        # Stream version 1 took a replicate index third; such calls must not
+        # silently hash a different payload.
+        with pytest.raises(TypeError):
+            derive_seed(1, 2, 0)
+        with pytest.raises(TypeError):
+            derive_seed(1, 2, 0, "world")
 
     def test_config_indices_all_distinct(self):
         seeds = {derive_seed(1, c) for c in range(10_000)}

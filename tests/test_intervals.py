@@ -209,6 +209,8 @@ class TestLimitDiscrepancy:
     def test_identical_intervals(self):
         lower, upper = limit_discrepancy(Interval(0.0, 10.0), Interval(0.0, 10.0, "formula"))
         assert (lower, upper) == (0.0, 0.0)
+        # +0.0 on both sides: json.dumps would print -0.0 differently.
+        assert math.copysign(1.0, lower) == math.copysign(1.0, upper) == 1.0
 
     def test_anti_conservative_formula(self):
         lower, upper = limit_discrepancy(Interval(0.0, 10.0), Interval(1.0, 9.0, "formula"))
