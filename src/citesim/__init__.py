@@ -11,21 +11,8 @@ from .distribution import (
     LognormalParams,
     MixtureSpec,
     cdf,
-    mixture_mean,
     pmf,
     rest_of_world_location,
-    sample,
-    sample_citations,
-)
-from .indicators import threshold_credit, top_credit
-from .intervals import (
-    Interval,
-    SimilarityInput,
-    empirical_interval,
-    limit_discrepancy,
-    log_mean_interval,
-    proportion_interval,
-    similarity,
 )
 from .experiment import (
     INDICATOR_NAMES,

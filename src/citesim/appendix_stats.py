@@ -27,7 +27,6 @@ __all__ = [
     "rank_sums_from_frequency",
     "mann_whitney_u",
     "ks_two_sample",
-    "expand_frequencies",
     "table4_example",
     "appendix_demo",
 ]
@@ -112,14 +111,6 @@ def rank_sums_from_frequency(table: FrequencyTable) -> RankSums:
         sum2 += f2 * midpoint
         start += block
     return RankSums(sum1, sum2, tuple(average_ranks))
-
-
-def expand_frequencies(table: FrequencyTable) -> tuple[np.ndarray, np.ndarray]:
-    """Materialise the two samples encoded by a frequency table."""
-    values = np.array([r[0] for r in table.rows])
-    f1 = np.array([r[1] for r in table.rows])
-    f2 = np.array([r[2] for r in table.rows])
-    return np.repeat(values, f1), np.repeat(values, f2)
 
 
 def mann_whitney_u(a, b) -> MannWhitneyResult:

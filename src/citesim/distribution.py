@@ -23,9 +23,6 @@ __all__ = [
     "table_top",
     "count_table",
     "sample_histograms",
-    "sample",
-    "sample_citations",
-    "mixture_mean",
     "rest_of_world_location",
 ]
 
@@ -155,40 +152,15 @@ def sample_histograms(params: LognormalParams, table: np.ndarray, n: int,
     return hist, np.maximum(tail.astype(np.int64), top + 1)
 
 
-def sample(params: LognormalParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n shifted counts (x = c + 1, every value >= 1) from one population:
-    one histogram draw, expanded into articles in random order."""
-    top = table_top(params.mu, params.sigma)
-    hist, tail = sample_histograms(params, count_table(params, top), n, rng)
-    return rng.permutation(np.concatenate([np.repeat(np.arange(1, top + 1), hist[:top]), tail]))
-
-
-def sample_citations(params: LognormalParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n citation counts c = x - 1 (non-negative integers)."""
-    return sample(params, n, rng) - 1
-
-
-def mixture_mean(spec: MixtureSpec, mu0: float) -> float:
-    """Continuous-lognormal mean of the three-population mixture.
-
-    mu0 is the rest-of-world location parameter; the result is the mean of
-    shifted counts, p1*e^(mu1+s) + p2*e^(mu2+s) + (1-p1-p2)*e^(mu0+s) with
-    s = sigma^2 / 2.
-    """
-    half_var = 0.5 * spec.sigma**2
-    return (
-        spec.p1 * math.exp(spec.mu1 + half_var)
-        + spec.p2 * math.exp(spec.mu2 + half_var)
-        + (1.0 - spec.p1 - spec.p2) * math.exp(mu0 + half_var)
-    )
-
-
 def rest_of_world_location(spec: MixtureSpec) -> float:
     """Location parameter for the rest of the world that fixes the overall mean.
 
-    Solves the mixture-mean identity for mu0, so substituting the result
-    back into :func:`mixture_mean` recovers exp(mu_overall + sigma^2 / 2)
-    exactly.
+    Solves the mixture-mean identity for mu0: with s = sigma^2 / 2, the
+    continuous-lognormal mean of the mixture,
+
+        p1*e^(mu1+s) + p2*e^(mu2+s) + (1-p1-p2)*e^(mu0+s),
+
+    is then exp(mu_overall + s).
 
     Raises
     ------

@@ -51,7 +51,6 @@ __all__ = [
     "validate_grid",
     "generate_grid",
     "total_draws",
-    "replicate_world",
     "replicate_statistics",
     "run_config",
     "run_sweep",
@@ -379,23 +378,6 @@ def _value_axis(table_end: int, draws) -> tuple[np.ndarray, np.ndarray]:
                    table_end + np.searchsorted(extra, tails)), 1.0)
     np.sum(hists[1:], axis=0, out=hists[0])
     return np.concatenate([np.arange(table_end, dtype=np.float64), extra]), hists
-
-
-def replicate_world(ps: ParameterSet, master_seed: int, replicate_index: int) -> np.ndarray:
-    """Reconstruct the citation counts of one replicate's world.
-
-    Articles [0, n1) belong to country 1, [n1, n1+n2) to country 2 and the
-    remainder to the rest of the world, each group in increasing order.
-    Useful for inspecting the exact sample behind any reported statistic.
-    """
-    if not 0 <= replicate_index < ps.replicates:
-        raise ValueError(f"replicate_index must lie in [0, {ps.replicates})")
-    for start, table_end, draws in _world_blocks(ps, master_seed):
-        if replicate_index < start + REPLICATE_BLOCK:
-            values, hists = _value_axis(table_end, draws)
-            row = replicate_index - start
-            return np.concatenate([np.repeat(values, h[row].astype(np.int64))
-                                   for h in hists[1:]]).astype(np.int64)
 
 
 def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:

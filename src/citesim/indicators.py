@@ -17,8 +17,6 @@ __all__ = [
     "TOP_SHARES",
     "histogram_survival",
     "tie_credit",
-    "threshold_credit",
-    "top_credit",
 ]
 
 TOP_SHARES = (1.0, 10.0, 50.0)
@@ -66,30 +64,3 @@ def tie_credit(world_surv: np.ndarray, x_percent, groups=()) -> tuple:
     at = at + np.arange(0, groups.size, world_surv.size).reshape((-1,) + (1,) * at.ndim)
     above = groups.take(at + 1)
     return t, frac, above + frac * (groups.take(at) - above)
-
-
-def threshold_credit(counts, x_percent: float) -> tuple[int, float]:
-    """Percentile cutoff count t and the fractional credit at the cutoff.
-
-    See :func:`tie_credit` for the rule; counts holds one world's articles.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.size == 0:
-        raise ValueError("world must contain at least one article")
-    if not 0 < x_percent < 100:
-        raise ValueError(f"x_percent must lie in (0, 100), got {x_percent}")
-    t, frac, _ = tie_credit(histogram_survival(np.bincount(counts)), x_percent)
-    return int(t), float(frac)
-
-
-def top_credit(counts, x_percent: float) -> np.ndarray:
-    """Per-article fractional credit for membership of the world top x_percent.
-
-    Total credit over all articles equals x_percent/100 * N exactly.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    t, frac = threshold_credit(counts, x_percent)
-    credit = np.zeros(counts.size)
-    credit[counts > t] = 1.0
-    credit[counts == t] = frac
-    return credit

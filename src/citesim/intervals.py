@@ -8,35 +8,25 @@ half-widths to the gap between their means; values below 1 indicate the
 groups are distinguishable.
 
 Each formula has one implementation, over arrays: the `*_limits`
-functions, `similarities` and `limit_discrepancies` return the limits of
-many intervals at once in a trailing (lower, upper) axis.  The functions
-that return one `Interval` or one score apply them to a single case.
+functions and `limit_discrepancies` return the limits of many intervals
+at once in a trailing (lower, upper) axis, and `similarities` scores
+every indicator at once.  A single case is an array with no leading axes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri, stdtrit
 
 __all__ = [
-    "Interval",
-    "SimilarityInput",
     "empirical_limits",
     "log_mean_limits",
     "proportion_limits",
     "similarities",
     "limit_discrepancies",
-    "empirical_interval",
-    "log_mean_interval",
-    "proportion_interval",
-    "similarity",
-    "limit_discrepancy",
 ]
-
-_KINDS = ("empirical", "formula")
 
 # Guard for rank arithmetic: (1 - level) has no exact binary representation,
 # so products like 0.025 * 1000 land a hair above the intended integer.
@@ -44,39 +34,6 @@ _RANK_EPS = 1e-9
 # Signs of the (lower, upper) limits around a centre: centre - half is
 # computed exactly as centre + (-1.0 * half).
 _SIDES = np.array([-1.0, 1.0])
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A lower/upper confidence bound pair tagged with its provenance."""
-
-    lower: float
-    upper: float
-    kind: str = "empirical"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.lower > self.upper:
-            raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class SimilarityInput:
-    """Two indicator means with their intervals, ordered mean1 <= mean2."""
-
-    mean1: float
-    mean2: float
-    int1: Interval
-    int2: Interval
-
-    def __post_init__(self) -> None:
-        if self.mean1 > self.mean2:
-            raise ValueError("means must be ordered ascending; swap the groups")
 
 
 def empirical_limits(stats, level: float = 0.95) -> np.ndarray:
@@ -138,9 +95,15 @@ def similarities(means, limits) -> np.ndarray:
     """Similarity score of two groups, for every indicator at once.
 
     means has shape (2, ...) and limits (2, ..., 2), holding each group's
-    indicator means and interval limits; in each column the group with the
-    smaller mean (the first on ties) plays group 1 of :func:`similarity`.
-    Columns whose means coincide score NaN.
+    indicator means and interval limits.  In each column, with group 1 the
+    group with the smaller mean (the first on ties), the score is the
+    average interval half-width relative to the gap between the means:
+
+        ((x1U - m1) + (m2 - x2L)) / (2 * (m2 - m1))
+
+    It equals 1 when each mean sits exactly on the other group's interval
+    limit; below 1 the groups are distinguishable.  Columns whose means
+    coincide score NaN.
     """
     means = np.asarray(means, dtype=np.float64)
     groups = np.concatenate([means[..., None], limits], axis=-1)  # (mean, lower, upper)
@@ -168,46 +131,3 @@ def limit_discrepancies(model, formula) -> np.ndarray:
     formula = np.asarray(formula, dtype=np.float64)
     diff = np.stack([model[..., 0] - formula[..., 0], formula[..., 1] - model[..., 1]], axis=-1)
     return np.divide(diff, width, out=np.full(diff.shape, np.nan), where=width > 0.0)
-
-
-def empirical_interval(stats, level: float = 0.95) -> Interval:
-    """:func:`empirical_limits` of one sequence of replicate statistics."""
-    lower, upper = empirical_limits(stats, level).tolist()
-    return Interval(lower, upper, kind="empirical")
-
-
-def log_mean_interval(mean: float, sd: float, n: int, level: float = 0.95) -> Interval:
-    """:func:`log_mean_limits` from one set of summary statistics."""
-    lower, upper = log_mean_limits(mean, sd, n, level).tolist()
-    return Interval(lower, upper, kind="formula")
-
-
-def proportion_interval(p: float, n: int, level: float = 0.95) -> Interval:
-    """:func:`proportion_limits` of one proportion."""
-    lower, upper = proportion_limits(p, n, level).tolist()
-    return Interval(lower, upper, kind="formula")
-
-
-def similarity(inp: SimilarityInput) -> float:
-    """Average interval half-width relative to the gap between the means.
-
-        ((x1U - m1) + (m2 - x2L)) / (2 * (m2 - m1))
-
-    Equals 1 when each mean sits exactly on the other group's interval
-    limit; below 1 the groups are distinguishable.  When both intervals
-    are [0, 0] and the means differ the expression collapses to 0.5.
-    Returns NaN when the means coincide (zero denominator); callers must
-    exclude such pairs.
-    """
-    limits = [[inp.int1.lower, inp.int1.upper], [inp.int2.lower, inp.int2.upper]]
-    return float(similarities([inp.mean1, inp.mean2], limits))
-
-
-def limit_discrepancy(model: Interval, formula: Interval) -> tuple[float, float]:
-    """:func:`limit_discrepancies` of one pair of intervals; a model interval
-    of zero width raises ValueError."""
-    if model.width <= 0.0:
-        raise ValueError("model interval has zero width; discrepancy undefined")
-    lower, upper = limit_discrepancies([model.lower, model.upper],
-                                       [formula.lower, formula.upper]).tolist()
-    return lower, upper

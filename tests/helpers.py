@@ -1,18 +1,40 @@
 """Independent oracles shared across test modules.
 
-These deliberately avoid the production code paths: the credit oracle
-walks the tie rule value by value with plain Python lists, the
-per-article indicator set recomputes a replicate from its article counts
-rather than from survival counts, and the goodness-of-fit helper only
-consumes the closed-form pmf/cdf it is checking a sampler against.
+Each oracle is written from the paper's formulas with plain `math`,
+`numpy` and `scipy.stats`, and calls nothing in `citesim.intervals` or
+`citesim.indicators`, so a fault in the sweep's path cannot also sit in
+the reference it is checked against:
+
+- `credit_oracle` walks the proportional tie rule value by value with
+  plain Python; it shares no code with `indicators.tie_credit`.
+- `country_indicators` recomputes one replicate's five indicators from
+  its article counts, taking the top-X credits from `credit_oracle`; it
+  shares no code with the survival counts of `replicate_statistics`.
+- `replicate_world` expands one replicate's raw `sample_histograms`
+  draws into article counts itself; it shares no code with
+  `experiment._value_axis`, which the sweep reduces through.
+- `empirical_oracle`, `t_interval_oracle`, `normal_interval_oracle`,
+  `similarity_oracle` and `discrepancy_oracle` evaluate one case of each
+  interval formula on plain floats, with the quantiles from
+  `scipy.stats`; they share no code with `citesim.intervals`.
+- `mixture_mean` is the continuous-lognormal mixture mean; it shares no
+  code with `distribution.rest_of_world_location`, which solves it.
+- `expand_frequencies` lists the two samples of a frequency table; it
+  shares no code with `appendix_stats.rank_sums_from_frequency`.
+- `chi_square_gof` only consumes the closed-form pmf/cdf it is checking
+  a sampler's histograms against.
 """
 
+import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy import stats as sps
 
 from citesim.distribution import cdf, pmf
-from citesim.indicators import TOP_SHARES, threshold_credit
+from citesim.experiment import _world_blocks
+from citesim.indicators import TOP_SHARES
 
 COUNTRY_1, COUNTRY_2, REST = 0, 1, 2
 
@@ -84,15 +106,14 @@ def country_indicators(world: WorldReplicate, country: int) -> IndicatorSet:
     Percentile cutoffs are taken over the full world sample; the country's
     top-X share is its summed per-article credit divided by its article count.
     """
-    mine = world.counts[world.membership == country]
-    if mine.size == 0:
+    mine = world.membership == country
+    if not mine.any():
         raise ValueError(f"country {country} has no articles in this world")
-    tops = []
-    for x_percent in TOP_SHARES:
-        t, frac = threshold_credit(world.counts, x_percent)
-        credit = float((mine > t).sum()) + frac * float((mine == t).sum())
-        tops.append(credit / mine.size)
-    return IndicatorSet(arithmetic_mean(mine), geometric_mean_offset(mine), *tops)
+    # fsum is exactly rounded, so the shares do not depend on article order.
+    tops = [math.fsum(np.asarray(credit_oracle(world.counts.tolist(), x))[mine]) / mine.sum()
+            for x in TOP_SHARES]
+    counts = world.counts[mine]
+    return IndicatorSet(arithmetic_mean(counts), geometric_mean_offset(counts), *tops)
 
 
 def credit_oracle(counts, x_percent):
@@ -104,25 +125,109 @@ def credit_oracle(counts, x_percent):
     counts = list(counts)
     remaining = x_percent / 100.0 * len(counts)
     credit_by_value = {}
-    for value in sorted(set(counts), reverse=True):
-        block = counts.count(value)
+    for value, block in sorted(Counter(counts).items(), reverse=True):
         take = min(max(remaining, 0.0), block)
         credit_by_value[value] = take / block
         remaining -= block
     return [credit_by_value[c] for c in counts]
 
 
-def chi_square_gof(shifted_draws, params, top_bin=100):
-    """Chi-square statistic/dof of draws against the closed-form pmf.
+def replicate_world(ps, master_seed, replicate_index):
+    """Citation counts of one replicate's world, from its raw histogram draws.
 
-    Bins are {1, ..., top_bin} plus one tail bin for everything above.
+    Articles [0, n1) belong to country 1, [n1, n1 + n2) to country 2 and
+    the rest to the rest of the world.  Within a group, the table's counts
+    come in increasing order and the values drawn above the table follow.
     """
-    shifted = np.asarray(shifted_draws)
-    n = shifted.size
+    if not 0 <= replicate_index < ps.replicates:
+        raise ValueError(f"replicate_index must lie in [0, {ps.replicates})")
+    for start, top, draws in _world_blocks(ps, master_seed):
+        row = replicate_index - start
+        if row < draws[0][0].shape[0]:
+            groups = []
+            for hist, tail in draws:
+                # tail lists the values above the table row by row.
+                first = int(hist[:row, top].sum())
+                above = tail[first:first + hist[row, top]]
+                groups.append(np.concatenate([np.repeat(np.arange(top), hist[row, :top]),
+                                              above - 1]))
+            return np.concatenate(groups)
+
+
+def empirical_oracle(values):
+    """95% order-statistic interval: the r-th smallest and r-th largest of
+    the R values, r = ceil(0.025 * R), computed in integers as ceil(R / 40)."""
+    values = sorted(float(v) for v in values)
+    r = -(-len(values) // 40)
+    return values[r - 1], values[-r]
+
+
+def t_interval_oracle(mean, sd, n):
+    """95% t interval mean +/- t(0.975, n - 1) * sd / sqrt(n)."""
+    half = sps.t.ppf(0.975, n - 1) * sd / math.sqrt(n)
+    return mean - half, mean + half
+
+
+def normal_interval_oracle(p, n):
+    """95% normal-approximation interval p +/- z(0.975) * sqrt(p(1 - p) / n)."""
+    half = sps.norm.ppf(0.975) * math.sqrt(p * (1.0 - p) / n)
+    return p - half, p + half
+
+
+def similarity_oracle(mean_a, interval_a, mean_b, interval_b):
+    """((u1 - m1) + (m2 - l2)) / (2 (m2 - m1)), group 1 having the smaller
+    mean (the first on ties); NaN when the means coincide."""
+    (m1, (_, u1)), (m2, (l2, _)) = sorted([(mean_a, interval_a), (mean_b, interval_b)],
+                                          key=lambda group: group[0])
+    if m1 == m2:
+        return math.nan
+    return ((u1 - m1) + (m2 - l2)) / (2.0 * (m2 - m1))
+
+
+def discrepancy_oracle(model, formula):
+    """((model.lower - formula.lower) / w, (formula.upper - model.upper) / w)
+    with w the model interval's width; NaN on both sides when w is 0."""
+    width = model[1] - model[0]
+    if width == 0.0:
+        return math.nan, math.nan
+    return (model[0] - formula[0]) / width, (formula[1] - model[1]) / width
+
+
+def mixture_mean(spec, mu0):
+    """Continuous-lognormal mean of shifted counts in the three-population
+    mixture: p1*e^(mu1+s) + p2*e^(mu2+s) + (1-p1-p2)*e^(mu0+s), s = sigma^2/2,
+    with mu0 the rest-of-world location."""
+    s = 0.5 * spec.sigma**2
+    return (spec.p1 * math.exp(spec.mu1 + s) + spec.p2 * math.exp(spec.mu2 + s)
+            + (1.0 - spec.p1 - spec.p2) * math.exp(mu0 + s))
+
+
+def expand_frequencies(table):
+    """The two samples a frequency table encodes, each value repeated by
+    its frequency in that group."""
+    group1 = [value for value, f1, _ in table.rows for _ in range(f1)]
+    group2 = [value for value, _, f2 in table.rows for _ in range(f2)]
+    return np.array(group1), np.array(group2)
+
+
+def chi_square_gof(table_counts, tail, params, top_bin=100):
+    """Chi-square statistic/dof of a histogram of draws against the closed-form pmf.
+
+    table_counts[k - 1] counts the draws of x = k, and tail lists the
+    draws above the last table value, as `sample_histograms` gives them
+    (its histogram without the last cell).  Bins are {1, ..., top_bin}
+    plus one tail bin for everything above.
+    """
+    table_counts = np.asarray(table_counts)
+    tail = np.asarray(tail, dtype=np.int64)
+    bins = top_bin + 2
+    values = np.minimum(np.arange(1, table_counts.size + 1), top_bin + 1)
+    observed = (np.bincount(values, weights=table_counts, minlength=bins)
+                + np.bincount(np.minimum(tail, top_bin + 1), minlength=bins))[1:]
+    n = table_counts.sum() + tail.size
     ks = np.arange(1, top_bin + 1)
     expected = pmf(ks, params) * n
     tail_expected = (1.0 - cdf(top_bin, params)) * n
-    observed = np.bincount(np.minimum(shifted, top_bin + 1), minlength=top_bin + 2)[1:]
     stat = float(((observed[:top_bin] - expected) ** 2 / expected).sum())
     stat += float((observed[top_bin] - tail_expected) ** 2 / tail_expected)
     return stat, top_bin

@@ -15,7 +15,8 @@ from scipy import stats as sps
 
 from citesim.appendix_stats import appendix_demo, rank_sums_from_frequency, table4_example
 from citesim.cli import main
-from citesim.distribution import LognormalParams, MixtureSpec, mixture_mean, rest_of_world_location, sample
+from citesim.distribution import (LognormalParams, MixtureSpec, count_table,
+                                  rest_of_world_location, sample_histograms, table_top)
 from citesim.experiment import (
     DEFAULT_MU_VALUES,
     DEFAULT_P_VALUES,
@@ -24,9 +25,9 @@ from citesim.experiment import (
     run_sweep,
     summarize,
 )
-from citesim.indicators import top_credit
-from citesim.intervals import Interval, SimilarityInput, empirical_interval, proportion_interval, similarity
-from helpers import chi_square_gof, credit_oracle
+from citesim.indicators import histogram_survival, tie_credit
+from citesim.intervals import empirical_limits, proportion_limits, similarities
+from helpers import chi_square_gof, credit_oracle, mixture_mean
 
 MASTER_SEED = 1
 
@@ -61,6 +62,13 @@ def test_criterion_01_worked_rank_sums_exact():
     _pass(1, f"rank sums 1099200/901800, six average ranks exact ({elapsed:.3f}s)")
 
 
+def _article_credit(counts, share):
+    """tie_credit of each article of a world, as a group of one."""
+    one_hot = np.eye(max(counts) + 1)[counts]
+    world = histogram_survival(one_hot.sum(axis=0))
+    return tie_credit(world, share, histogram_survival(one_hot))[2]
+
+
 def test_criterion_02_tie_credit_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(MASTER_SEED)
@@ -68,11 +76,11 @@ def test_criterion_02_tie_credit_oracle():
         n = int(rng.integers(1, 51))
         counts = rng.integers(0, 13, size=n)
         share = float(rng.choice([1.0, 10.0, 50.0]))
-        credit = top_credit(counts, share)
+        credit = _article_credit(counts, share)
         assert credit == pytest.approx(credit_oracle(counts, share), abs=1e-9)
         assert credit.sum() == pytest.approx(share / 100.0 * n, abs=1e-9)
     # three articles tied at the top-1% cutoff of a 100-article world
-    assert top_credit([10, 10, 10] + [2] * 97, 1.0)[:3] == pytest.approx([1 / 3] * 3, abs=1e-12)
+    assert _article_credit([10, 10, 10] + [2] * 97, 1.0)[:3] == pytest.approx([1 / 3] * 3, abs=1e-12)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _pass(2, f"1000 random instances match the brute-force oracle ({elapsed:.1f}s)")
@@ -101,8 +109,9 @@ def test_criterion_03_mixture_identity_over_grid():
 def test_criterion_04_sampler_chi_square():
     start = time.perf_counter()
     params = LognormalParams(1.0, 1.0)
-    draws = sample(params, 1_000_000, np.random.default_rng(MASTER_SEED))
-    stat, dof = chi_square_gof(draws, params)
+    table = count_table(params, table_top(params.mu, params.sigma))
+    hist, tail = sample_histograms(params, table, 1_000_000, np.random.default_rng(MASTER_SEED))
+    stat, dof = chi_square_gof(hist[:-1], tail, params)
     critical = sps.chi2.ppf(0.999, dof)
     elapsed = time.perf_counter() - start
     assert stat < critical
@@ -200,6 +209,11 @@ def test_criterion_09_thread_count_determinism(tmp_path):
     _pass(9, f"table1.csv and records.jsonl byte-identical at 1 vs 8 workers ({elapsed:.0f}s)")
 
 
+def _similarity(mean1, mean2, limits1, limits2):
+    """similarities of one pair of groups, each a mean and (lower, upper) limits."""
+    return float(similarities([mean1, mean2], [limits1, limits2]))
+
+
 def test_criterion_10_interval_property_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(MASTER_SEED)
@@ -214,8 +228,8 @@ def test_criterion_10_interval_property_suite():
             values = np.floor(rng.lognormal(1.0, 1.0, size))
         else:
             values = np.repeat(rng.integers(0, 5, size=max(size // 10, 1)), 10)[:size]
-        interval = empirical_interval(values)
-        inside = np.count_nonzero((values >= interval.lower) & (values <= interval.upper))
+        lower, upper = empirical_limits(values)
+        inside = np.count_nonzero((values >= lower) & (values <= upper))
         assert inside >= math.ceil(0.95 * values.size)
 
     # similarity translation/scale invariance on randomized fixtures
@@ -224,33 +238,28 @@ def test_criterion_10_interval_property_suite():
         gap = float(rng.random() + 0.05)
         up1 = mean1 + float(rng.random())
         low2 = mean1 + gap - float(rng.random())
-        base = SimilarityInput(
-            mean1, mean1 + gap, Interval(mean1 - 1.0, up1), Interval(low2, mean1 + gap + 1.0)
-        )
-        reference = similarity(base)
+        reference = _similarity(mean1, mean1 + gap, (mean1 - 1.0, up1), (low2, mean1 + gap + 1.0))
         shift = float(rng.normal(scale=10.0))
         scale = float(rng.random() * 9.9 + 0.1)
-        moved = SimilarityInput(
+        moved = _similarity(
             mean1 + shift, mean1 + gap + shift,
-            Interval(mean1 - 1.0 + shift, up1 + shift),
-            Interval(low2 + shift, mean1 + gap + 1.0 + shift),
+            (mean1 - 1.0 + shift, up1 + shift), (low2 + shift, mean1 + gap + 1.0 + shift),
         )
-        scaled = SimilarityInput(
+        scaled = _similarity(
             mean1 * scale, (mean1 + gap) * scale,
-            Interval((mean1 - 1.0) * scale, up1 * scale),
-            Interval(low2 * scale, (mean1 + gap + 1.0) * scale),
+            ((mean1 - 1.0) * scale, up1 * scale), (low2 * scale, (mean1 + gap + 1.0) * scale),
         )
-        assert similarity(moved) == pytest.approx(reference, rel=1e-6, abs=1e-9)
-        assert similarity(scaled) == pytest.approx(reference, rel=1e-6, abs=1e-9)
+        assert moved == pytest.approx(reference, rel=1e-6, abs=1e-9)
+        assert scaled == pytest.approx(reference, rel=1e-6, abs=1e-9)
 
     # proportion interval reflects about one half
     for numerator in range(0, 1025, 8):
         p = numerator / 1024.0
         for n in (25, 500, 12_345):
-            forward = proportion_interval(p, n)
-            mirrored = proportion_interval(1.0 - p, n)
-            assert forward.lower == pytest.approx(1.0 - mirrored.upper, abs=1e-12)
-            assert forward.upper == pytest.approx(1.0 - mirrored.lower, abs=1e-12)
+            lower, upper = proportion_limits(p, n)
+            mirrored_lower, mirrored_upper = proportion_limits(1.0 - p, n)
+            assert lower == pytest.approx(1.0 - mirrored_upper, abs=1e-12)
+            assert upper == pytest.approx(1.0 - mirrored_lower, abs=1e-12)
 
     # offset geometric mean never exceeds the arithmetic mean
     counts = np.floor(rng.lognormal(1.0, 1.0, size=(10_000, 60))) - 1.0

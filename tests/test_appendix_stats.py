@@ -9,12 +9,12 @@ from scipy import stats as sps
 from citesim.appendix_stats import (
     FrequencyTable,
     appendix_demo,
-    expand_frequencies,
     ks_two_sample,
     mann_whitney_u,
     rank_sums_from_frequency,
     table4_example,
 )
+from helpers import expand_frequencies
 
 EXPECTED_AVERAGE_RANKS = (675.0, 1529.0, 1755.5, 1895.0, 1988.5, 1995.0)
 

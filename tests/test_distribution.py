@@ -15,16 +15,23 @@ from citesim.distribution import (
     MixtureSpec,
     cdf,
     count_table,
-    mixture_mean,
     pmf,
     rest_of_world_location,
-    sample,
-    sample_citations,
+    sample_histograms,
+    table_top,
 )
 from citesim.experiment import DEFAULT_MU_VALUES, DEFAULT_P_VALUES
-from helpers import chi_square_gof
+from helpers import chi_square_gof, mixture_mean
 
 STANDARD = LognormalParams(mu=1.0, sigma=1.0)
+
+
+def draw(params, n, rng):
+    """One sample_histograms draw over the parameters' own count table:
+    counts of x = 1..top, and the values above top."""
+    table = count_table(params, table_top(params.mu, params.sigma))
+    hist, tail = sample_histograms(params, table, n, rng)
+    return hist[:-1], tail
 
 
 def density(x, mu, sigma):
@@ -112,36 +119,35 @@ class TestCdf:
 
 class TestSample:
     def test_zero_draws(self):
-        rng = np.random.default_rng(0)
-        assert sample(STANDARD, 0, rng).size == 0
+        counts, tail = draw(STANDARD, 0, np.random.default_rng(0))
+        assert counts.sum() == 0 and tail.size == 0
 
     def test_support(self):
         rng = np.random.default_rng(1)
-        draws = sample(STANDARD, 20_000, rng)
-        assert draws.min() >= 1
-        assert sample_citations(STANDARD, 100, rng).min() >= 0
+        counts, tail = draw(STANDARD, 20_000, rng)
+        assert counts.min() >= 0 and counts.sum() + tail.size == 20_000
+        # the values above the table lie above its last value, x = top
+        assert tail.size and tail.min() > counts.size
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            sample(STANDARD, -1, np.random.default_rng(0))
+            draw(STANDARD, -1, np.random.default_rng(0))
 
     def test_reproducible(self):
-        a = sample(STANDARD, 1000, np.random.default_rng(42))
-        b = sample(STANDARD, 1000, np.random.default_rng(42))
-        assert np.array_equal(a, b)
+        a = draw(STANDARD, 1000, np.random.default_rng(42))
+        b = draw(STANDARD, 1000, np.random.default_rng(42))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_chi_square_goodness_of_fit(self):
         rng = np.random.default_rng(1234)
-        draws = sample(STANDARD, 1_000_000, rng)
-        stat, dof = chi_square_gof(draws, STANDARD)
+        stat, dof = chi_square_gof(*draw(STANDARD, 1_000_000, rng), STANDARD)
         assert stat < sps.chi2.ppf(0.999, dof)
 
     @pytest.mark.parametrize("mu,sigma", [(0.9, 1.0), (1.1, 1.0)])
     def test_chi_square_other_parameters(self, mu, sigma):
         params = LognormalParams(mu, sigma)
         rng = np.random.default_rng(99)
-        draws = sample(params, 200_000, rng)
-        stat, dof = chi_square_gof(draws, params)
+        stat, dof = chi_square_gof(*draw(params, 200_000, rng), params)
         assert stat < sps.chi2.ppf(0.999, dof)
 
 

@@ -19,23 +19,12 @@ from citesim.experiment import (
     derive_seed,
     generate_grid,
     replicate_statistics,
-    replicate_world,
     run_config,
     run_sweep,
     summarize,
     total_draws,
 )
-from citesim.indicators import threshold_credit
-from citesim.intervals import (
-    Interval,
-    SimilarityInput,
-    empirical_interval,
-    limit_discrepancy,
-    log_mean_interval,
-    proportion_interval,
-    similarities,
-    similarity,
-)
+from citesim.intervals import log_mean_limits
 from helpers import (
     COUNTRY_1,
     COUNTRY_2,
@@ -43,6 +32,13 @@ from helpers import (
     WorldReplicate,
     chi_square_gof,
     country_indicators,
+    credit_oracle,
+    discrepancy_oracle,
+    empirical_oracle,
+    normal_interval_oracle,
+    replicate_world,
+    similarity_oracle,
+    t_interval_oracle,
 )
 
 SMALL = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=60, replicates=50)
@@ -170,7 +166,8 @@ class TestReplicateStatistics:
         tail_cutoffs = 0
         for r in range(ps.replicates):
             counts = replicate_world(ps, 7, r)
-            tail_cutoffs += threshold_credit(counts, 1.0)[0] >= table_end
+            top1 = credit_oracle(counts.tolist(), 1.0)
+            tail_cutoffs += min(c for c, credit in zip(counts, top1) if credit > 0) >= table_end
             world = WorldReplicate(counts, membership)
             for i, country in enumerate((COUNTRY_1, COUNTRY_2)):
                 expected = country_indicators(world, country)
@@ -190,7 +187,7 @@ class TestReplicateStatistics:
             mu_overall=1.0, replicates=400, diagnostic=True,
         )
         pooled = np.concatenate([replicate_world(ps, 3, r) for r in range(ps.replicates)])
-        stat, dof = chi_square_gof(pooled + 1, LognormalParams(1.0, 1.0))
+        stat, dof = chi_square_gof(np.bincount(pooled), [], LognormalParams(1.0, 1.0))
         assert stat < sps.chi2.ppf(0.999, dof)
 
     def test_tiny_countries_rejected(self):
@@ -204,11 +201,11 @@ class TestReplicateStatistics:
         stats = replicate_statistics(SMALL, master_seed=7)
         n1 = SMALL.country_sizes()[0]
         y = np.log1p(replicate_world(SMALL, 7, 0)[:n1])
-        log_scale = log_mean_interval(float(y.mean()), float(y.std(ddof=1)), n1)
+        lower, upper = log_mean_limits(float(y.mean()), float(y.std(ddof=1)), n1)
         t_q = sps.t.ppf(0.975, n1 - 1)
         half = t_q * stats.log_sd[0, 0] / math.sqrt(n1)
-        assert log_scale.lower == pytest.approx(stats.log_mean[0, 0] - half, rel=1e-12)
-        assert log_scale.upper == pytest.approx(stats.log_mean[0, 0] + half, rel=1e-12)
+        assert lower == pytest.approx(stats.log_mean[0, 0] - half, rel=1e-12)
+        assert upper == pytest.approx(stats.log_mean[0, 0] + half, rel=1e-12)
 
 
 # Two articles per country: at seed 7 both countries' top-1% shares are 0 in
@@ -230,8 +227,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("ps", [SMALL, TINY_DIAGNOSTIC], ids=["small", "diagnostic"])
     def test_arrays_match_the_interval_functions(self, ps):
-        # One implementation per formula: every entry of the summary equals,
-        # exactly, what the Interval functions give on the replicate statistics.
+        # Every entry of the summary equals, exactly, what the independent
+        # one-case oracles give on the replicate statistics.
         summary = run_config(ps, master_seed=7)
         stats = replicate_statistics(ps, master_seed=7)
         series = {"arith": stats.arith, "geo": stats.log_mean,
@@ -241,36 +238,29 @@ class TestRunConfig:
         for i, n in enumerate(sizes):
             for j, name in enumerate(INDICATOR_NAMES):
                 values = series[name][i]
-                interval = empirical_interval(values)
+                interval = empirical_oracle(values)
                 mean = float(values.mean())
                 if name == "geo":
                     mean = float(np.expm1(values).mean())
-                    interval = Interval(math.expm1(interval.lower), math.expm1(interval.upper))
+                    interval = tuple(math.expm1(v) for v in interval)
                 empirical[i, name] = (mean, interval)
                 assert summary.mean[i, j] == mean
-                assert summary.empirical[i, j].tolist() == [interval.lower, interval.upper]
+                assert summary.empirical[i, j].tolist() == list(interval)
             for k, name in enumerate(FORMULA_INDICATOR_NAMES):
-                model = empirical_interval(series[name][i])
+                model = empirical_oracle(series[name][i])
                 p = float(series[name][i].mean())
-                formula = (log_mean_interval(p, float(stats.log_sd[i].mean()), n)
-                           if name == "geo" else proportion_interval(p, n))
-                assert summary.model[i, k].tolist() == [model.lower, model.upper]
-                assert summary.formula[i, k].tolist() == [formula.lower, formula.upper]
-                if model.width > 0:
-                    assert summary.discrepancy[i, k].tolist() == list(
-                        limit_discrepancy(model, formula))
-                else:
-                    assert np.isnan(summary.discrepancy[i, k]).all()
-        scores = similarities(summary.mean, summary.empirical)
-        for j, name in enumerate(INDICATOR_NAMES):
-            (m1, int1), (m2, int2) = sorted((empirical[0, name], empirical[1, name]),
-                                            key=lambda pair: pair[0])
-            expected = similarity(SimilarityInput(m1, m2, int1, int2))
-            assert scores[j] == expected or math.isnan(scores[j]) and math.isnan(expected)
+                formula = (t_interval_oracle(p, float(stats.log_sd[i].mean()), n)
+                           if name == "geo" else normal_interval_oracle(p, n))
+                assert summary.model[i, k].tolist() == list(model)
+                assert summary.formula[i, k].tolist() == list(formula)
+                np.testing.assert_array_equal(summary.discrepancy[i, k],
+                                              discrepancy_oracle(model, formula))
+        scores = [similarity_oracle(*empirical[0, name], *empirical[1, name])
+                  for name in INDICATOR_NAMES]
         if ps.diagnostic:
             assert np.isnan(summary.similarity).all()
         else:
-            assert summary.similarity.tolist() == scores.tolist()
+            assert summary.similarity.tolist() == scores
         # The NaN cases occur in the diagnostic configuration only: zero-width
         # model intervals and equal top-1% means.
         assert np.isnan(summary.discrepancy).any() == ps.diagnostic

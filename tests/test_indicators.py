@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citesim.indicators import (TOP_SHARES, histogram_survival, threshold_credit, tie_credit,
-                                top_credit)
+from citesim.indicators import TOP_SHARES, histogram_survival, tie_credit
 from helpers import (
     COUNTRY_1,
     COUNTRY_2,
@@ -22,6 +21,16 @@ from helpers import (
 )
 
 count_arrays = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=60)
+
+
+def article_credit(counts, x_percent) -> np.ndarray:
+    """Each article's tie_credit for the top x_percent, the article being
+    a group of one on the world's survival axis."""
+    counts = np.asarray(counts)
+    one_hot = np.eye(counts.max() + 1)[counts]
+    surv = histogram_survival(one_hot)
+    _, _, credit = tie_credit(histogram_survival(one_hot.sum(axis=0)), x_percent, surv)
+    return credit
 
 
 class TestArithmeticMean:
@@ -70,7 +79,7 @@ class TestTopCredit:
         # 100 articles, top 1% cut at 10 citations, three articles tied
         # there and none above: each tied article is worth 1/3.
         counts = [10, 10, 10] + [3] * 50 + [0] * 47
-        credit = top_credit(counts, 1.0)
+        credit = article_credit(counts, 1.0)
         assert credit[:3] == pytest.approx([1 / 3] * 3, abs=1e-12)
         assert np.all(credit[3:] == 0.0)
 
@@ -100,16 +109,16 @@ class TestTopCredit:
 
     def test_full_tie_gives_everyone_the_share(self):
         for x in TOP_SHARES:
-            credit = top_credit([4] * 40, x)
+            credit = article_credit([4] * 40, x)
             assert credit == pytest.approx([x / 100.0] * 40, abs=1e-12)
 
     def test_seven_article_worked_case(self):
-        credit = top_credit([5, 4, 3, 3, 2, 1, 0], 50.0)
+        credit = article_credit([5, 4, 3, 3, 2, 1, 0], 50.0)
         assert credit == pytest.approx([1.0, 1.0, 0.75, 0.75, 0.0, 0.0, 0.0], abs=1e-12)
 
     def test_exact_block_fit_gets_full_credit(self):
         # q = 2 and exactly two articles at the cutoff: frac degenerates to 1
-        t, frac = threshold_credit(np.array([7, 7, 1, 0]), 50.0)
+        t, frac, _ = tie_credit(histogram_survival(np.bincount([7, 7, 1, 0])), 50.0)
         assert (t, frac) == (7, 1.0)
 
     def test_against_brute_force_oracle(self):
@@ -118,7 +127,7 @@ class TestTopCredit:
             n = int(rng.integers(1, 51))
             counts = rng.integers(0, 13, size=n)
             x = float(rng.choice([1.0, 10.0, 50.0]))
-            credit = top_credit(counts, x)
+            credit = article_credit(counts, x)
             assert credit == pytest.approx(credit_oracle(counts, x), abs=1e-9)
             assert credit.sum() == pytest.approx(x / 100.0 * n, abs=1e-9)
 
@@ -126,20 +135,14 @@ class TestTopCredit:
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 20, size=200)
         for x in TOP_SHARES:
-            base = top_credit(counts, x)
-            shifted = top_credit(counts + 7, x)
+            base = article_credit(counts, x)
+            shifted = article_credit(counts + 7, x)
             assert np.array_equal(base, shifted)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            threshold_credit(np.array([1, 2]), 0.0)
-        with pytest.raises(ValueError):
-            threshold_credit(np.array([1, 2]), 100.0)
 
     @given(count_arrays, st.sampled_from([1.0, 10.0, 50.0]))
     @settings(max_examples=200, deadline=None)
     def test_credit_conservation(self, counts, x):
-        credit = top_credit(counts, x)
+        credit = article_credit(counts, x)
         assert credit.sum() == pytest.approx(x / 100.0 * len(counts), abs=1e-9)
 
 
