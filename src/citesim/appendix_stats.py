@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
 
+from ._special import kolmogorov, ndtr
 from .experiment import ParameterSet, replicate_statistics
 
 __all__ = [

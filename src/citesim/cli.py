@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import logging
+import platform
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -49,7 +50,7 @@ _APPENDIX_DEMO = {"sample1_size": 75, "sample2_size": 25, "world_size": 500, "mu
 # Keys a manifest.json echoes beyond the inputs, so a manifest can be fed
 # straight back through --config to reproduce a run.
 _MANIFEST_ECHO_KEYS = {"version", "configurations", "total_draws", "stream_version",
-                       "numpy_version", *_APPENDIX_DEMO}
+                       "numpy_version", "python_version", *_APPENDIX_DEMO}
 
 
 class ConfigError(ValueError):
@@ -272,6 +273,8 @@ def _run_inputs(config: RunConfig) -> dict:
         "stream_version": STREAM_VERSION,
         # numpy Generator streams are only stable within one numpy version (NEP 19).
         "numpy_version": np.__version__,
+        # Count tables and quantiles come from the interpreter's math.erfc and statistics.
+        "python_version": platform.python_version(),
     }
 
 

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+from ._special import ndtr, ndtri
 
 __all__ = [
     "InfeasibleMixtureError",

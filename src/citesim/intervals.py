@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
+
+from ._special import ndtri, stdtrit
 
 __all__ = [
     "empirical_limits",

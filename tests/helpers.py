@@ -16,7 +16,8 @@ the reference it is checked against:
 - `empirical_oracle`, `t_interval_oracle`, `normal_interval_oracle`,
   `similarity_oracle` and `discrepancy_oracle` evaluate one case of each
   interval formula on plain floats, with the quantiles from
-  `scipy.stats`; they share no code with `citesim.intervals`.
+  `scipy.stats` unless the caller passes one in; they share no code with
+  `citesim.intervals`.
 - `mixture_mean` is the continuous-lognormal mixture mean; it shares no
   code with `distribution.rest_of_world_location`, which solves it.
 - `expand_frequencies` lists the two samples of a frequency table; it
@@ -162,15 +163,21 @@ def empirical_oracle(values):
     return values[r - 1], values[-r]
 
 
-def t_interval_oracle(mean, sd, n):
-    """95% t interval mean +/- t(0.975, n - 1) * sd / sqrt(n)."""
-    half = sps.t.ppf(0.975, n - 1) * sd / math.sqrt(n)
+def t_interval_oracle(mean, sd, n, quantile=None):
+    """95% t interval mean +/- t(0.975, n - 1) * sd / sqrt(n); the quantile
+    is scipy.stats' unless one is given."""
+    if quantile is None:
+        quantile = sps.t.ppf(0.975, n - 1)
+    half = quantile * sd / math.sqrt(n)
     return mean - half, mean + half
 
 
-def normal_interval_oracle(p, n):
-    """95% normal-approximation interval p +/- z(0.975) * sqrt(p(1 - p) / n)."""
-    half = sps.norm.ppf(0.975) * math.sqrt(p * (1.0 - p) / n)
+def normal_interval_oracle(p, n, quantile=None):
+    """95% normal-approximation interval p +/- z(0.975) * sqrt(p(1 - p) / n);
+    the quantile is scipy.stats' unless one is given."""
+    if quantile is None:
+        quantile = sps.norm.ppf(0.975)
+    half = quantile * math.sqrt(p * (1.0 - p) / n)
     return p - half, p + half
 
 

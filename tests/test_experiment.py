@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from citesim._special import ndtri, stdtrit
 from citesim.distribution import LognormalParams, rest_of_world_location, table_top
 from citesim.experiment import (
     ConfigSummary,
@@ -228,7 +229,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("ps", [SMALL, TINY_DIAGNOSTIC], ids=["small", "diagnostic"])
     def test_arrays_match_the_interval_functions(self, ps):
         # Every entry of the summary equals, exactly, what the independent
-        # one-case oracles give on the replicate statistics.
+        # one-case oracles give on the replicate statistics.  The oracles
+        # take the library's quantiles, whose accuracy test_special pins.
         summary = run_config(ps, master_seed=7)
         stats = replicate_statistics(ps, master_seed=7)
         series = {"arith": stats.arith, "geo": stats.log_mean,
@@ -249,8 +251,9 @@ class TestRunConfig:
             for k, name in enumerate(FORMULA_INDICATOR_NAMES):
                 model = empirical_oracle(series[name][i])
                 p = float(series[name][i].mean())
-                formula = (t_interval_oracle(p, float(stats.log_sd[i].mean()), n)
-                           if name == "geo" else normal_interval_oracle(p, n))
+                formula = (t_interval_oracle(p, float(stats.log_sd[i].mean()), n,
+                                             stdtrit(n - 1, 0.975))
+                           if name == "geo" else normal_interval_oracle(p, n, ndtri(0.975)))
                 assert summary.model[i, k].tolist() == list(model)
                 assert summary.formula[i, k].tolist() == list(formula)
                 np.testing.assert_array_equal(summary.discrepancy[i, k],
