@@ -208,7 +208,6 @@ def appendix_demo(
         sigma=sigma,
         mu_overall=mu_overall,
         replicates=replicates,
-        diagnostic=True,
     )
     stats = replicate_statistics(ps, seed)
     share1 = stats.top[0, 0]

@@ -16,9 +16,7 @@ import numpy as np
 from ._special import ndtr, ndtri
 
 __all__ = [
-    "InfeasibleMixtureError",
     "LognormalParams",
-    "MixtureSpec",
     "pmf",
     "cdf",
     "table_top",
@@ -35,10 +33,6 @@ TABLE_TAIL_MASS = 1e-4
 MAX_TABLE_TOP = 4096
 
 
-class InfeasibleMixtureError(ValueError):
-    """Country means too large for the requested overall mean."""
-
-
 @dataclass(frozen=True)
 class LognormalParams:
     """Location/scale pair defining one discretised lognormal population."""
@@ -51,37 +45,6 @@ class LognormalParams:
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Two country populations plus rest of world sharing one scale parameter.
-
-    The rest-of-world location is not stored; it is solved by
-    :func:`rest_of_world_location` so that the continuous mixture mean stays
-    at exp(mu_overall + sigma^2 / 2) whatever the country locations are.
-    """
-
-    mu_overall: float
-    sigma: float
-    mu1: float
-    mu2: float
-    p1: float
-    p2: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        for name in ("mu_overall", "mu1", "mu2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not (self.p1 > 0 and self.p2 > 0):
-            raise ValueError("country shares must be positive")
-        if not self.p1 + self.p2 < 1:
-            raise ValueError(
-                f"country shares must leave room for the rest of the world, "
-                f"got p1 + p2 = {self.p1 + self.p2}"
-            )
 
 
 def _upper_tail(x, params: LognormalParams):
@@ -150,10 +113,15 @@ def sample_histograms(params: LognormalParams, table: np.ndarray, n: int,
     u = 1.0 - rng.random(beyond_top)  # in (0, 1]
     beyond = ndtr((params.mu - math.log(top + 0.5)) / params.sigma)
     tail = np.floor(np.exp(params.mu - params.sigma * ndtri(u * beyond)) + 0.5)
+    # Counts become float64 histogram axes, which are exact only below 2**53.
+    if tail.max() >= 2.0**53:
+        raise ValueError(f"drew a count of {tail.max():.3g}, at or above 2**53, "
+                         f"where counts are no longer exact (sigma={params.sigma:g})")
     return hist, np.maximum(tail.astype(np.int64), top + 1)
 
 
-def rest_of_world_location(spec: MixtureSpec) -> float:
+def rest_of_world_location(mu_overall: float, mu1: float, mu2: float,
+                           p1: float, p2: float) -> float:
     """Location parameter for the rest of the world that fixes the overall mean.
 
     Solves the mixture-mean identity for mu0: with s = sigma^2 / 2, the
@@ -161,23 +129,17 @@ def rest_of_world_location(spec: MixtureSpec) -> float:
 
         p1*e^(mu1+s) + p2*e^(mu2+s) + (1-p1-p2)*e^(mu0+s),
 
-    is then exp(mu_overall + s).
+    is then exp(mu_overall + s).  Every term carries the factor e^s, so
+    sigma cancels out of the solution.
 
-    Raises
-    ------
-    InfeasibleMixtureError
-        If the country means already exceed the target overall mean, which
-        makes the logarithm argument non-positive.
+    Raises ValueError if the country means already exceed the target
+    overall mean, which makes the logarithm argument non-positive.
     """
-    arg = (
-        math.exp(spec.mu_overall)
-        - spec.p1 * math.exp(spec.mu1)
-        - spec.p2 * math.exp(spec.mu2)
-    )
+    arg = math.exp(mu_overall) - p1 * math.exp(mu1) - p2 * math.exp(mu2)
     if arg <= 0:
-        raise InfeasibleMixtureError(
-            f"country means too large for overall location {spec.mu_overall}: "
-            f"p1*e^mu1 + p2*e^mu2 = {math.exp(spec.mu_overall) - arg:.6g} "
-            f">= e^mu_overall = {math.exp(spec.mu_overall):.6g}"
+        raise ValueError(
+            f"country means too large for overall location {mu_overall}: "
+            f"p1*e^mu1 + p2*e^mu2 = {math.exp(mu_overall) - arg:.6g} "
+            f">= e^mu_overall = {math.exp(mu_overall):.6g}"
         )
-    return math.log(arg / (1.0 - spec.p1 - spec.p2))
+    return math.log(arg / (1.0 - p1 - p2))

@@ -12,7 +12,7 @@ a block of replicates is reduced at once, and a configuration's summary
 is a handful of small arrays (ConfigSummary).
 
 Determinism contract: each configuration has one random stream, seeded
-by hashing (master_seed, config_index, role); its replicates are drawn
+by hashing (master_seed, config_index); its replicates are drawn
 from it in blocks of REPLICATE_BLOCK.  Sweep output is therefore
 byte-identical for any execution order or process count.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import (LognormalParams, MixtureSpec, count_table, rest_of_world_location,
+from .distribution import (LognormalParams, count_table, rest_of_world_location,
                            sample_histograms, table_top)
 from .indicators import TOP_SHARES, histogram_survival, tie_credit
 from .intervals import (empirical_limits, limit_discrepancies, log_mean_limits,
@@ -79,10 +79,12 @@ REPLICATE_BLOCK = 64  # bounds the histogram arrays held at once
 
 @dataclass(frozen=True)
 class ParameterSet:
-    """One sweep configuration.
+    """One configuration: two countries and the rest of the world sharing
+    one scale sigma, at an overall location mu_overall that the rest of
+    the world's solved location holds fixed (rest_of_world_location).
 
-    `diagnostic=True` permits mu1 == mu2 (a no-difference sanity case whose
-    similarity is undefined and excluded from summaries).
+    mu1 == mu2 makes a diagnostic configuration: a no-difference case
+    whose similarity is undefined and which summaries leave out.
     """
 
     mu1: float
@@ -94,25 +96,30 @@ class ParameterSet:
     mu_overall: float = 1.0
     replicates: int = 1000
     config_index: int = 0
-    diagnostic: bool = False
 
     def __post_init__(self) -> None:
-        if self.diagnostic:
-            if self.mu1 > self.mu2:
-                raise ValueError("mu1 must not exceed mu2")
-        elif not self.mu1 < self.mu2:
+        for name in ("mu_overall", "mu1", "mu2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not self.mu1 <= self.mu2:
+            raise ValueError(f"mu1 must not exceed mu2, got {self.mu1} > {self.mu2}")
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (self.p1 > 0 and self.p2 > 0):
+            raise ValueError("country shares must be positive")
+        if not self.p1 + self.p2 < 1:
             raise ValueError(
-                "mu1 must be strictly below mu2; equal means are only valid "
-                "with diagnostic=True"
+                f"country shares must leave room for the rest of the world, "
+                f"got p1 + p2 = {self.p1 + self.p2}"
             )
         if self.n_world < 1:
             raise ValueError(f"n_world must be positive, got {self.n_world}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be positive, got {self.replicates}")
-        self.mixture()  # validates shares and sigma
 
-    def mixture(self) -> MixtureSpec:
-        return MixtureSpec(self.mu_overall, self.sigma, self.mu1, self.mu2, self.p1, self.p2)
+    @property
+    def diagnostic(self) -> bool:
+        return self.mu1 == self.mu2
 
     def country_sizes(self) -> tuple[int, int, int]:
         """Article counts (country1, country2, rest); shares are rounded
@@ -243,15 +250,16 @@ def _nan_to_none(value: float):
     return None if value != value else value
 
 
-def derive_seed(master_seed: int, config_index: int, *, stream_role: str = "world") -> int:
-    """Collision-resistant 128-bit seed for one random stream.
+def derive_seed(master_seed: int, config_index: int) -> int:
+    """Collision-resistant 128-bit seed for one configuration's stream.
 
     Pure function of its arguments, so identical streams are produced
     regardless of execution order, process count or platform.
     """
-    # The 0 was a per-replicate field before stream version 2; it stays in
-    # the hashed payload so that no stream moves.
-    payload = f"{master_seed}:{config_index}:0:{stream_role}".encode()
+    # The 0 was a per-replicate field before stream version 2, and "world"
+    # the one stream role ever used; both stay in the hashed payload so
+    # that no stream moves.
+    payload = f"{master_seed}:{config_index}:0:world".encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:16], "little")
 
 
@@ -262,14 +270,13 @@ def generate_grid(
     sigma: float = 1.0,
     mu_overall: float = 1.0,
     replicates: int = 1000,
-    include_equal_means: bool = False,
 ) -> list[ParameterSet]:
     """Ordered list of configurations: (mu1 < mu2) pairs x (p1, p2) x N.
 
     Ordering is lexicographic in (mu1, mu2, p1, p2, N).  The default grids
-    produce exactly 6875 configurations.  Configurations whose rest-of-world
-    location is infeasible are skipped with a warning rather than aborting.
-    `include_equal_means` adds mu1 == mu2 diagnostic cases.
+    produce exactly 6875 configurations.  A grid that validate_grid rejects
+    raises ValueError; configurations whose rest-of-world location is
+    infeasible are skipped with a warning.
     """
     mu_values = DEFAULT_MU_VALUES if mu_values is None else tuple(mu_values)
     p_values = DEFAULT_P_VALUES if p_values is None else tuple(p_values)
@@ -277,15 +284,14 @@ def generate_grid(
     validate_grid(mu_values, p_values, n_values, sigma, mu_overall)
 
     sets: list[ParameterSet] = []
-    index = 0
     for mu1 in mu_values:
         for mu2 in mu_values:
-            if mu2 < mu1 or (mu2 == mu1 and not include_equal_means):
+            if mu2 <= mu1:
                 continue
             for p1 in p_values:
                 for p2 in p_values:
                     try:
-                        rest_of_world_location(MixtureSpec(mu_overall, sigma, mu1, mu2, p1, p2))
+                        rest_of_world_location(mu_overall, mu1, mu2, p1, p2)
                     except ValueError as exc:
                         log.warning(
                             "skipping infeasible configuration mu1=%g mu2=%g p1=%g p2=%g: %s",
@@ -293,21 +299,8 @@ def generate_grid(
                         )
                         continue
                     for n_world in n_values:
-                        sets.append(
-                            ParameterSet(
-                                mu1=mu1,
-                                mu2=mu2,
-                                p1=p1,
-                                p2=p2,
-                                n_world=int(n_world),
-                                sigma=sigma,
-                                mu_overall=mu_overall,
-                                replicates=replicates,
-                                config_index=index,
-                                diagnostic=mu1 == mu2,
-                            )
-                        )
-                        index += 1
+                        sets.append(ParameterSet(mu1, mu2, p1, p2, int(n_world), sigma,
+                                                 mu_overall, replicates, config_index=len(sets)))
     return sets
 
 
@@ -315,10 +308,13 @@ def validate_grid(mu_values, p_values, n_values, sigma: float = 1.0,
                   mu_overall: float = 1.0) -> None:
     """Raise ValueError for a grid that could not run, before any sampling.
 
-    Each value list must be non-empty, finite and strictly increasing.  Two
-    corner configurations then bound the grid: the smallest shares at the
-    smallest world give the smallest countries, the largest shares the
-    largest p1 + p2.  Infeasible locations are left to generate_grid.
+    Each value list must be non-empty, finite and strictly increasing, with
+    at least two locations to form mu1 < mu2.  Corner configurations then
+    bound the grid: the smallest shares at the smallest world give the
+    smallest countries, the largest shares the largest p1 + p2, and the
+    smallest locations and shares the least demanding rest-of-world solve;
+    if that one is infeasible, so is every configuration.  Other infeasible
+    configurations are skipped by generate_grid.
     """
     for name, values in (("mu_values", mu_values), ("p_values", p_values),
                          ("n_values", n_values)):
@@ -328,11 +324,15 @@ def validate_grid(mu_values, p_values, n_values, sigma: float = 1.0,
             raise ValueError(f"{name}: values must be finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError(f"{name}: values must be strictly increasing")
-    for p in (p_values[0], p_values[-1]):
-        ParameterSet(
-            mu1=mu_values[0], mu2=mu_values[0], p1=p, p2=p, n_world=int(n_values[0]),
-            sigma=sigma, mu_overall=mu_overall, diagnostic=True,
-        ).country_sizes()
+    if len(mu_values) < 2:
+        raise ValueError("mu_values: need at least two locations to form mu1 < mu2")
+    (mu1, mu2), p = mu_values[:2], p_values[0]
+    for share in (p, p_values[-1]):
+        ParameterSet(mu1, mu2, share, share, int(n_values[0]), sigma, mu_overall).country_sizes()
+    try:
+        rest_of_world_location(mu_overall, mu1, mu2, p, p)
+    except ValueError as exc:
+        raise ValueError(f"grid contains no feasible configurations: {exc}") from None
 
 
 def total_draws(param_sets) -> int:
@@ -344,7 +344,8 @@ def _world_blocks(ps: ParameterSet, master_seed: int):
     """Yield (start, table_end, draws) for each block of REPLICATE_BLOCK
     replicates from the configuration's one stream: draws holds the
     sample_histograms (hist, tail) of country 1, country 2 and the rest."""
-    locations = (ps.mu1, ps.mu2, rest_of_world_location(ps.mixture()))
+    locations = (ps.mu1, ps.mu2,
+                 rest_of_world_location(ps.mu_overall, ps.mu1, ps.mu2, ps.p1, ps.p2))
     table_end = table_top(max(locations), ps.sigma)
     groups = [(LognormalParams(mu, ps.sigma), n) for mu, n in zip(locations, ps.country_sizes())]
     tables = [count_table(params, table_end) for params, _ in groups]
@@ -413,7 +414,7 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
     return ReplicateStats(n1=n1, n2=n2, values=values)
 
 
-def run_config(ps: ParameterSet, master_seed: int, level: float = 0.95) -> ConfigSummary:
+def run_config(ps: ParameterSet, master_seed: int) -> ConfigSummary:
     """Simulate one configuration and summarise its replicate statistics.
 
     The replicate statistics of both countries form one (country,
@@ -425,7 +426,7 @@ def run_config(ps: ParameterSet, master_seed: int, level: float = 0.95) -> Confi
     sizes = np.array([rs.n1, rs.n2])
     means = rs.values.sum(axis=-1) / ps.replicates  # np.mean, bit for bit
     # The geometric mean's model interval is on the ln(1 + c) scale.
-    limits = empirical_limits(rs.values[:, :len(INDICATOR_NAMES)], level)
+    limits = empirical_limits(rs.values[:, :len(INDICATOR_NAMES)])
     mean = means[:, :len(INDICATOR_NAMES)].copy()
     mean[:, 1] = np.expm1(rs.log_mean).sum(axis=-1) / ps.replicates
     # expm1 is monotone, so the offset-scale empirical interval is the
@@ -434,10 +435,10 @@ def run_config(ps: ParameterSet, master_seed: int, level: float = 0.95) -> Confi
     empirical[:, 1] = [[math.expm1(v) for v in pair] for pair in limits[:, 1].tolist()]
     model = limits[:, 1:]
     formula = np.concatenate([
-        log_mean_limits(means[:, 1], means[:, 5], sizes, level)[:, None],
-        proportion_limits(means[:, 2:5], sizes[:, None], level),
+        log_mean_limits(means[:, 1], means[:, 5], sizes)[:, None],
+        proportion_limits(means[:, 2:5], sizes[:, None]),
     ], axis=1)
-    if ps.mu1 == ps.mu2:
+    if ps.diagnostic:
         # No population difference to test for; the score is undefined.
         similarity = np.full(len(INDICATOR_NAMES), math.nan)
     else:
@@ -447,9 +448,9 @@ def run_config(ps: ParameterSet, master_seed: int, level: float = 0.95) -> Confi
 
 
 def _run_config_task(args) -> ConfigSummary:
-    ps, master_seed, level = args
+    ps, master_seed = args
     try:
-        return run_config(ps, master_seed, level)
+        return run_config(ps, master_seed)
     except Exception as exc:
         # Pool workers lose the caller's context; name the configuration.
         raise RuntimeError(
@@ -458,12 +459,7 @@ def _run_config_task(args) -> ConfigSummary:
         ) from exc
 
 
-def run_sweep(
-    param_sets,
-    master_seed: int,
-    processes: int = 1,
-    level: float = 0.95,
-) -> list[ConfigSummary]:
+def run_sweep(param_sets, master_seed: int, processes: int = 1) -> list[ConfigSummary]:
     """Run every configuration and return summaries in input order.
 
     processes <= 0 selects the CPU count.  Results are byte-identical for
@@ -474,7 +470,7 @@ def run_sweep(
     if processes <= 0:
         processes = os.cpu_count() or 1
     processes = min(processes, max(len(param_sets), 1))
-    tasks = [(ps, master_seed, level) for ps in param_sets]
+    tasks = [(ps, master_seed) for ps in param_sets]
     step = max(len(tasks) // 20, 1)
     chunksize = max(len(tasks) // (processes * 8), 1)
     results = []

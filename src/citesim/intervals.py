@@ -11,11 +11,10 @@ Each formula has one implementation, over arrays: the `*_limits`
 functions and `limit_discrepancies` return the limits of many intervals
 at once in a trailing (lower, upper) axis, and `similarities` scores
 every indicator at once.  A single case is an array with no leading axes.
+Every interval is a two-sided 95% interval.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -29,35 +28,31 @@ __all__ = [
     "limit_discrepancies",
 ]
 
-# Guard for rank arithmetic: (1 - level) has no exact binary representation,
-# so products like 0.025 * 1000 land a hair above the intended integer.
-_RANK_EPS = 1e-9
+# Upper quantile of a two-sided 95% interval: 1 - (1 - 0.95) / 2, exactly.
+_UPPER_QUANTILE = 0.975
 # Signs of the (lower, upper) limits around a centre: centre - half is
 # computed exactly as centre + (-1.0 * half).
 _SIDES = np.array([-1.0, 1.0])
 
 
-def empirical_limits(stats, level: float = 0.95) -> np.ndarray:
-    """Empirical interval limits of the statistics along the last axis.
+def empirical_limits(stats) -> np.ndarray:
+    """Empirical 95% interval limits of the statistics along the last axis.
 
     Returns [..., (lower, upper)]: the r-th smallest and r-th largest of the
-    R values, with r = ceil((1 - level)/2 * R).  For 1000 replicates at the
-    95% level the limits are the 25th smallest and 25th largest values, and
-    the interval contains at least 95% of the replicate statistics.
+    R values, with r = ceil(0.025 * R) = ceil(R / 40).  For 1000 replicates
+    the limits are the 25th smallest and 25th largest values, and the
+    interval contains at least 95% of the replicate statistics.
     """
     values = np.array(stats, dtype=np.float64)
     values.sort(axis=-1)
     n = values.shape[-1]
-    tail = (1.0 - level) / 2.0
-    if tail * n < 1.0 - _RANK_EPS:
-        raise ValueError(
-            f"need at least {math.ceil(1.0 / tail)} values for level {level}, got {n}"
-        )
-    rank = math.ceil(tail * n - _RANK_EPS)
+    if n < 40:
+        raise ValueError(f"need at least 40 values for 95% limits, got {n}")
+    rank = -(-n // 40)
     return values[..., [rank - 1, n - rank]]
 
 
-def log_mean_limits(mean, sd, n, level: float = 0.95) -> np.ndarray:
+def log_mean_limits(mean, sd, n) -> np.ndarray:
     """t interval limits [..., (lower, upper)] for the mean of y = ln(1 + c).
 
     mean +/- t_{a/2, n-1} * sd / sqrt(n), with sd the n-1 sample standard
@@ -66,11 +61,11 @@ def log_mean_limits(mean, sd, n, level: float = 0.95) -> np.ndarray:
     n = np.asarray(n)
     if n.min() < 2:
         raise ValueError("need at least two observations for a sample standard deviation")
-    half = stdtrit(n - 1, 1.0 - (1.0 - level) / 2.0) * sd / np.sqrt(n)
+    half = stdtrit(n - 1, _UPPER_QUANTILE) * sd / np.sqrt(n)
     return _centred(mean, half)
 
 
-def proportion_limits(p, n, level: float = 0.95) -> np.ndarray:
+def proportion_limits(p, n) -> np.ndarray:
     """Normal approximation limits [..., (lower, upper)], p +/- z * sqrt(p(1-p)/n).
 
     The limits are deliberately not clamped to [0, 1]: the raw formula is
@@ -83,7 +78,7 @@ def proportion_limits(p, n, level: float = 0.95) -> np.ndarray:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if np.asarray(n).min() < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    half = ndtri(1.0 - (1.0 - level) / 2.0) * np.sqrt(p * (1.0 - p) / n)
+    half = ndtri(_UPPER_QUANTILE) * np.sqrt(p * (1.0 - p) / n)
     return _centred(p, half)
 
 

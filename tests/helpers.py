@@ -200,13 +200,13 @@ def discrepancy_oracle(model, formula):
     return (model[0] - formula[0]) / width, (formula[1] - model[1]) / width
 
 
-def mixture_mean(spec, mu0):
+def mixture_mean(mu0, mu1, mu2, p1, p2, sigma):
     """Continuous-lognormal mean of shifted counts in the three-population
     mixture: p1*e^(mu1+s) + p2*e^(mu2+s) + (1-p1-p2)*e^(mu0+s), s = sigma^2/2,
     with mu0 the rest-of-world location."""
-    s = 0.5 * spec.sigma**2
-    return (spec.p1 * math.exp(spec.mu1 + s) + spec.p2 * math.exp(spec.mu2 + s)
-            + (1.0 - spec.p1 - spec.p2) * math.exp(mu0 + s))
+    s = 0.5 * sigma**2
+    return (p1 * math.exp(mu1 + s) + p2 * math.exp(mu2 + s)
+            + (1.0 - p1 - p2) * math.exp(mu0 + s))
 
 
 def expand_frequencies(table):

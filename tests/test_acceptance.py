@@ -15,8 +15,8 @@ from scipy import stats as sps
 
 from citesim.appendix_stats import appendix_demo, rank_sums_from_frequency, table4_example
 from citesim.cli import main
-from citesim.distribution import (LognormalParams, MixtureSpec, count_table,
-                                  rest_of_world_location, sample_histograms, table_top)
+from citesim.distribution import (LognormalParams, count_table, rest_of_world_location,
+                                  sample_histograms, table_top)
 from citesim.experiment import (
     DEFAULT_MU_VALUES,
     DEFAULT_P_VALUES,
@@ -95,8 +95,8 @@ def test_criterion_03_mixture_identity_over_grid():
         for mu2 in DEFAULT_MU_VALUES[i + 1 :]:
             for p1 in DEFAULT_P_VALUES:
                 for p2 in DEFAULT_P_VALUES:
-                    spec = MixtureSpec(1.0, 1.0, mu1, mu2, p1, p2)
-                    value = mixture_mean(spec, rest_of_world_location(spec))
+                    mu0 = rest_of_world_location(1.0, mu1, mu2, p1, p2)
+                    value = mixture_mean(mu0, mu1, mu2, p1, p2, 1.0)
                     worst = max(worst, abs(value - target))
                     combos += 1
     elapsed = time.perf_counter() - start

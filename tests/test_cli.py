@@ -1,7 +1,9 @@
 """CLI tests: configuration resolution, artifact shapes, determinism, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import logging
 import platform
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import citesim
-from citesim import experiment
+from citesim import experiment, intervals
 from citesim.cli import ConfigError, RunConfig, _build_parser, emit_reports, main, parse_config
 from citesim.experiment import (
     INDICATOR_NAMES,
@@ -41,7 +43,12 @@ GOLDEN_SHA256 = {
     "records.jsonl": "6377b8ec933a60bb32129d7997b36abaf0f0eff525256ade5fa764b92be3365c",
     "table1.csv": "e6908b8889891e51eafd03f3ef73a0aef03a01023c4b85a96536336dc1ec070e",
     "table2.csv": "c826d8e472362ec7a4fd26b2102fd35bbc9ab1e9e95d5437959d055aa9e6747f",
+    "figure1.csv": "04f70835570c3b1d6a5258f82584a623e1a08386b89d72d8cdb1a74820054efa",
 }
+# The appendix demo (both countries at one location, unequal sizes) under
+# the same Python and numpy versions.
+GOLDEN_APPENDIX_ARGS = ["appendix", "--replicates", "200", "--seed", "3"]
+GOLDEN_APPENDIX_SHA256 = "0c9c05910897c349ea83d03014970573068653daf85104d7728822ee5b7d534a"
 
 
 def read_csv(path):
@@ -100,6 +107,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(["--replicates", "soon"])
 
+    @pytest.mark.parametrize("key,value", [
+        ("replicates", 40.9), ("n_values", [500.7]), ("n_values", [True]),
+        ("master_seed", True), ("threads", 1.5), ("threads", True),
+    ])
+    def test_config_file_integers_not_truncated(self, key, value, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=key):
+            parse_config(["--config", str(path)])
+
 
 class TestSurface:
     def test_one_spelling_per_input_and_three_modes(self):
@@ -111,6 +128,25 @@ class TestSurface:
         }
         (mode,) = [action for action in parser._actions if action.dest == "mode"]
         assert set(mode.choices) == {"sweep", "appendix", "table4"}
+
+    def test_one_configuration_object_and_no_settable_level(self):
+        # Every knob here is one a caller sets; adding one must edit this test.
+        assert [f.name for f in dataclasses.fields(experiment.ParameterSet)] == [
+            "mu1", "mu2", "p1", "p2", "n_world", "sigma", "mu_overall", "replicates",
+            "config_index",
+        ]
+        signatures = {
+            experiment.generate_grid: ["mu_values", "p_values", "n_values", "sigma",
+                                       "mu_overall", "replicates"],
+            experiment.run_sweep: ["param_sets", "master_seed", "processes"],
+            experiment.run_config: ["ps", "master_seed"],
+            experiment.derive_seed: ["master_seed", "config_index"],
+            intervals.empirical_limits: ["stats"],
+            intervals.log_mean_limits: ["mean", "sd", "n"],
+            intervals.proportion_limits: ["p", "n"],
+        }
+        for function, names in signatures.items():
+            assert list(inspect.signature(function).parameters) == names, function.__name__
 
     def test_readme_commands_parse(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -239,6 +275,12 @@ class TestModes:
                for name in GOLDEN_SHA256}
         assert got == GOLDEN_SHA256, f"Python {platform.python_version()}, numpy {np.__version__}"
 
+    def test_golden_appendix_hash(self, tmp_path):
+        assert main(GOLDEN_APPENDIX_ARGS + ["--out", str(tmp_path)]) == 0
+        got = hashlib.sha256((tmp_path / "appendix.json").read_bytes()).hexdigest()
+        assert got == GOLDEN_APPENDIX_SHA256, (
+            f"Python {platform.python_version()}, numpy {np.__version__}")
+
     def test_manifest_reproduces_run(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         code = main([
@@ -345,6 +387,17 @@ class TestExitCodes:
         assert failed[0].getMessage() == (
             "run failed: config 1 (mu1=0.9 mu2=1 p1=0.1 p2=0.2 N=100): injected")
         assert any(rec.levelno == logging.DEBUG and rec.exc_info for rec in caplog.records)
+
+    def test_count_beyond_float_precision_is_two(self, tmp_path, caplog):
+        # --sigma 20 passes validation, but its tail draws reach past 2**53.
+        code = main(["--sigma", "20", "--mu-values", "0.9", "1.0", "--p-values", "0.1",
+                     "--n-values", "1000", "--replicates", "40", "--threads", "1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        failed = [rec.getMessage() for rec in caplog.records
+                  if rec.getMessage().startswith("run failed")]
+        assert failed[0].startswith("run failed: config 0 (mu1=0.9 mu2=1 p1=0.1 p2=0.1 N=1000)")
+        assert "2**53" in failed[0]
 
     def test_runtime_failure_is_two(self, tmp_path):
         blocker = tmp_path / "blocker"

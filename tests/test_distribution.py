@@ -10,9 +10,7 @@ from scipy import integrate
 from scipy import stats as sps
 
 from citesim.distribution import (
-    InfeasibleMixtureError,
     LognormalParams,
-    MixtureSpec,
     cdf,
     count_table,
     pmf,
@@ -20,7 +18,7 @@ from citesim.distribution import (
     sample_histograms,
     table_top,
 )
-from citesim.experiment import DEFAULT_MU_VALUES, DEFAULT_P_VALUES
+from citesim.experiment import DEFAULT_MU_VALUES, DEFAULT_P_VALUES, ParameterSet
 from helpers import chi_square_gof, mixture_mean
 
 STANDARD = LognormalParams(mu=1.0, sigma=1.0)
@@ -133,6 +131,14 @@ class TestSample:
         with pytest.raises(ValueError):
             draw(STANDARD, -1, np.random.default_rng(0))
 
+    def test_counts_beyond_float_precision_rejected(self):
+        # At sigma = 20 the tail reaches past 2**53, where the float64
+        # histogram axes stop being exact and the int64 cast overflows.
+        params = LognormalParams(1.0, 20.0)
+        table = count_table(params, table_top(params.mu, params.sigma))
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            sample_histograms(params, table, 1000, np.random.default_rng(1), size=4)
+
     def test_reproducible(self):
         a = draw(STANDARD, 1000, np.random.default_rng(42))
         b = draw(STANDARD, 1000, np.random.default_rng(42))
@@ -153,17 +159,15 @@ class TestSample:
 
 class TestMixture:
     def test_identical_components_collapse(self):
-        spec = MixtureSpec(mu_overall=1.0, sigma=1.0, mu1=1.0, mu2=1.0, p1=0.1, p2=0.3)
-        assert mixture_mean(spec, 1.0) == pytest.approx(math.exp(1.5), rel=1e-14)
+        assert mixture_mean(1.0, 1.0, 1.0, 0.1, 0.3, 1.0) == pytest.approx(math.exp(1.5), rel=1e-14)
 
     def test_vanishing_shares_leave_rest_of_world(self):
-        spec = MixtureSpec(mu_overall=1.0, sigma=1.0, mu1=3.0, mu2=-2.0, p1=1e-9, p2=1e-9)
-        assert mixture_mean(spec, 0.7) == pytest.approx(math.exp(0.7 + 0.5), rel=1e-7)
+        assert mixture_mean(0.7, 3.0, -2.0, 1e-9, 1e-9, 1.0) == pytest.approx(
+            math.exp(0.7 + 0.5), rel=1e-7)
 
     def test_round_trip_identity_single(self):
-        spec = MixtureSpec(mu_overall=1.0, sigma=1.0, mu1=0.9, mu2=0.92, p1=0.05, p2=0.2)
-        mu0 = rest_of_world_location(spec)
-        assert abs(mixture_mean(spec, mu0) - math.exp(1.5)) < 1e-12
+        mu0 = rest_of_world_location(1.0, 0.9, 0.92, 0.05, 0.2)
+        assert abs(mixture_mean(mu0, 0.9, 0.92, 0.05, 0.2, 1.0) - math.exp(1.5)) < 1e-12
 
     def test_round_trip_identity_full_grid(self):
         target = math.exp(1.5)
@@ -172,31 +176,28 @@ class TestMixture:
             for mu2 in DEFAULT_MU_VALUES[i + 1 :]:
                 for p1 in DEFAULT_P_VALUES:
                     for p2 in DEFAULT_P_VALUES:
-                        spec = MixtureSpec(1.0, 1.0, mu1, mu2, p1, p2)
-                        mu0 = rest_of_world_location(spec)
-                        assert abs(mixture_mean(spec, mu0) - target) < 1e-12
+                        mu0 = rest_of_world_location(1.0, mu1, mu2, p1, p2)
+                        assert abs(mixture_mean(mu0, mu1, mu2, p1, p2, 1.0) - target) < 1e-12
                         checked += 1
         assert checked == 1375
 
     def test_homogeneous_locations(self):
-        spec = MixtureSpec(mu_overall=1.0, sigma=1.0, mu1=1.0, mu2=1.0, p1=0.25, p2=0.25)
-        assert rest_of_world_location(spec) == pytest.approx(1.0, abs=1e-14)
+        assert rest_of_world_location(1.0, 1.0, 1.0, 0.25, 0.25) == pytest.approx(1.0, abs=1e-14)
 
     def test_worked_value(self):
-        spec = MixtureSpec(mu_overall=1.0, sigma=1.0, mu1=1.1, mu2=1.1, p1=0.25, p2=0.25)
         expected = math.log((math.e - 0.5 * math.exp(1.1)) / 0.5)
-        assert rest_of_world_location(spec) == pytest.approx(expected, rel=1e-14)
+        assert rest_of_world_location(1.0, 1.1, 1.1, 0.25, 0.25) == pytest.approx(
+            expected, rel=1e-14)
 
     def test_infeasible_mixture(self):
-        spec = MixtureSpec(mu_overall=1.0, sigma=1.0, mu1=2.0, mu2=2.0, p1=0.5, p2=0.49)
-        with pytest.raises(InfeasibleMixtureError):
-            rest_of_world_location(spec)
+        with pytest.raises(ValueError, match="country means too large"):
+            rest_of_world_location(1.0, 2.0, 2.0, 0.5, 0.49)
 
     def test_share_validation(self):
         with pytest.raises(ValueError):
-            MixtureSpec(1.0, 1.0, 0.9, 1.0, p1=0.6, p2=0.4)
+            ParameterSet(mu1=0.9, mu2=1.0, p1=0.6, p2=0.4, n_world=100)
         with pytest.raises(ValueError):
-            MixtureSpec(1.0, 1.0, 0.9, 1.0, p1=0.0, p2=0.1)
+            ParameterSet(mu1=0.9, mu2=1.0, p1=0.0, p2=0.1, n_world=100)
 
     @given(
         mu_lo=st.floats(min_value=0.5, max_value=1.4),
@@ -205,7 +206,7 @@ class TestMixture:
     @settings(max_examples=50, deadline=None)
     def test_overall_mean_strictly_increases_with_location(self, mu_lo, bump):
         def solved_mean(mu_overall):
-            spec = MixtureSpec(mu_overall, 1.0, 0.9, 0.95, 0.1, 0.1)
-            return mixture_mean(spec, rest_of_world_location(spec))
+            mu0 = rest_of_world_location(mu_overall, 0.9, 0.95, 0.1, 0.1)
+            return mixture_mean(mu0, 0.9, 0.95, 0.1, 0.1, 1.0)
 
         assert solved_mean(mu_lo + bump) > solved_mean(mu_lo)

@@ -49,15 +49,15 @@ HEAVY_TAIL = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=200, sigma=3
 
 
 class TestParameterSet:
-    def test_equal_means_need_diagnostic_flag(self):
-        with pytest.raises(ValueError):
-            ParameterSet(mu1=1.0, mu2=1.0, p1=0.1, p2=0.1, n_world=100)
-        ps = ParameterSet(mu1=1.0, mu2=1.0, p1=0.1, p2=0.1, n_world=100, diagnostic=True)
-        assert ps.diagnostic
+    def test_equal_means_are_diagnostic(self):
+        assert ParameterSet(mu1=1.0, mu2=1.0, p1=0.1, p2=0.1, n_world=100).diagnostic
+        assert not ParameterSet(mu1=0.9, mu2=1.0, p1=0.1, p2=0.1, n_world=100).diagnostic
+        with pytest.raises(TypeError):
+            ParameterSet(mu1=0.9, mu2=1.0, p1=0.1, p2=0.1, n_world=100, diagnostic=True)
 
     def test_descending_means_always_rejected(self):
         with pytest.raises(ValueError):
-            ParameterSet(mu1=1.1, mu2=0.9, p1=0.1, p2=0.1, n_world=100, diagnostic=True)
+            ParameterSet(mu1=1.1, mu2=0.9, p1=0.1, p2=0.1, n_world=100)
 
     def test_country_sizes_on_grid(self):
         ps = ParameterSet(mu1=0.9, mu2=1.0, p1=0.05, p2=0.25, n_world=500)
@@ -66,6 +66,15 @@ class TestParameterSet:
     def test_share_validation_delegated(self):
         with pytest.raises(ValueError):
             ParameterSet(mu1=0.9, mu2=1.0, p1=0.7, p2=0.3, n_world=100)
+
+    @pytest.mark.parametrize("field,value", [
+        ("sigma", 0.0), ("sigma", math.nan), ("mu1", -math.inf), ("mu2", math.nan),
+        ("mu_overall", math.inf), ("n_world", 0), ("replicates", 0),
+    ])
+    def test_invalid_field_rejected(self, field, value):
+        kwargs = dict(mu1=0.9, mu2=1.0, p1=0.1, p2=0.1, n_world=100)
+        with pytest.raises(ValueError, match=field):
+            ParameterSet(**{**kwargs, field: value})
 
 
 class TestGrid:
@@ -92,20 +101,14 @@ class TestGrid:
     def test_infeasible_configurations_skipped_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
             grid = generate_grid(
-                mu_values=(0.9, 2.5),
+                mu_values=(0.9, 1.0, 2.5),
                 p_values=(0.25,),
                 n_values=(500,),
                 mu_overall=1.0,
             )
-        assert len(grid) == 0
-        assert any("infeasible" in rec.message for rec in caplog.records)
-
-    def test_diagnostic_pairs_opt_in(self):
-        grid = generate_grid(
-            mu_values=(0.9, 0.92), p_values=(0.05,), n_values=(500,), include_equal_means=True
-        )
-        assert len(grid) == 3
-        assert [ps.diagnostic for ps in grid] == [True, False, True]
+        assert [(ps.mu1, ps.mu2) for ps in grid] == [(0.9, 1.0)]
+        skipped = [rec.message for rec in caplog.records if "infeasible" in rec.message]
+        assert len(skipped) == 2
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -113,16 +116,23 @@ class TestGrid:
         with pytest.raises(ValueError):
             generate_grid(mu_values=(1.0, 0.9))
 
+    def test_single_location_rejected(self):
+        with pytest.raises(ValueError, match="two locations"):
+            generate_grid(mu_values=(1.0,))
+
+    def test_grid_without_feasible_configuration_rejected(self):
+        with pytest.raises(ValueError, match="no feasible configurations"):
+            generate_grid(mu_values=(0.9, 2.5), p_values=(0.25,), n_values=(500,))
+
 
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(1, 2) == derive_seed(1, 2)
 
     def test_sensitive_to_every_component(self):
-        base = derive_seed(1, 2, stream_role="world")
-        assert derive_seed(2, 2, stream_role="world") != base
-        assert derive_seed(1, 3, stream_role="world") != base
-        assert derive_seed(1, 2, stream_role="other") != base
+        base = derive_seed(1, 2)
+        assert derive_seed(2, 2) != base
+        assert derive_seed(1, 3) != base
 
     def test_stream_version_1_calls_rejected(self):
         # Stream version 1 took a replicate index third; such calls must not
@@ -162,8 +172,8 @@ class TestReplicateStatistics:
         membership = np.repeat([COUNTRY_1, COUNTRY_2, REST], [n1, n2, n0])
         # Top-1% cutoffs among the counts drawn above the count table, which
         # the heavy tail must reach.
-        table_end = table_top(max(ps.mu1, ps.mu2, rest_of_world_location(ps.mixture())),
-                              ps.sigma)
+        mu0 = rest_of_world_location(ps.mu_overall, ps.mu1, ps.mu2, ps.p1, ps.p2)
+        table_end = table_top(max(ps.mu1, ps.mu2, mu0), ps.sigma)
         tail_cutoffs = 0
         for r in range(ps.replicates):
             counts = replicate_world(ps, 7, r)
@@ -185,7 +195,7 @@ class TestReplicateStatistics:
         # equal locations everywhere turn the world into one iid sample
         ps = ParameterSet(
             mu1=1.0, mu2=1.0, p1=0.2, p2=0.2, n_world=500,
-            mu_overall=1.0, replicates=400, diagnostic=True,
+            mu_overall=1.0, replicates=400,
         )
         pooled = np.concatenate([replicate_world(ps, 3, r) for r in range(ps.replicates)])
         stat, dof = chi_square_gof(np.bincount(pooled), [], LognormalParams(1.0, 1.0))
@@ -212,14 +222,12 @@ class TestReplicateStatistics:
 # Two articles per country: at seed 7 both countries' top-1% shares are 0 in
 # enough replicates for zero-width model intervals, and their means coincide.
 TINY_DIAGNOSTIC = ParameterSet(mu1=1.0, mu2=1.0, p1=0.002, p2=0.002, n_world=1000,
-                               replicates=50, diagnostic=True)
+                               replicates=50)
 
 
 class TestRunConfig:
     def test_diagnostic_mode_yields_nan_similarity(self):
-        ps = ParameterSet(
-            mu1=1.0, mu2=1.0, p1=0.2, p2=0.2, n_world=60, replicates=50, diagnostic=True
-        )
+        ps = ParameterSet(mu1=1.0, mu2=1.0, p1=0.2, p2=0.2, n_world=60, replicates=50)
         summary = run_config(ps, master_seed=1)
         assert summary.similarity.shape == (len(INDICATOR_NAMES),)
         assert np.isnan(summary.similarity).all()
@@ -341,7 +349,7 @@ class TestSweep:
 def _fake_summary(n_world, sims, diagnostic=False, discrepancy=(0.1, -0.05)):
     ps = ParameterSet(
         mu1=0.9, mu2=0.9 if diagnostic else 1.0, p1=0.1, p2=0.1,
-        n_world=n_world, replicates=1000, diagnostic=diagnostic,
+        n_world=n_world, replicates=1000,
     )
     n_formula = len(FORMULA_INDICATOR_NAMES)
     unit = np.tile([0.0, 1.0], (2, n_formula, 1))
