@@ -96,8 +96,10 @@ class RunConfig:
 
 # Config-file keys: the RunConfig fields, which are also the flags' dests.
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-# Keys whose values int() would otherwise truncate or take from a boolean.
+# Keys that hold JSON numbers, which float() and int() would otherwise also
+# take from a boolean or a string; the integer keys must not be truncated.
 _INTEGER_KEYS = {"replicates", "n_values", "master_seed", "threads"}
+_NUMBER_KEYS = {"sigma", "mu_overall", "mu_values", "p_values", *_INTEGER_KEYS}
 
 
 def _build_parser() -> _Parser:
@@ -145,10 +147,12 @@ def _load_config_file(path: Path) -> dict:
     unknown = set(raw) - _CONFIG_KEYS - _MANIFEST_ECHO_KEYS
     if unknown:
         raise ConfigError(f"config: unknown key(s): {', '.join(sorted(unknown))}")
-    for key in sorted(_INTEGER_KEYS & raw.keys()):
+    for key in sorted(_NUMBER_KEYS & raw.keys()):
         values = raw[key] if isinstance(raw[key], list) else [raw[key]]
-        if any(isinstance(v, bool) or isinstance(v, float) and not v.is_integer()
-               for v in values):
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+            raise ConfigError(f"config: {key} must hold JSON numbers, got {raw[key]!r}")
+        if key in _INTEGER_KEYS and any(isinstance(v, float) and not v.is_integer()
+                                        for v in values):
             raise ConfigError(f"config: {key} must hold integers, got {raw[key]!r}")
     # A manifest of a sampled run from before stream versioning holds a seed
     # but no stream_version: its streams were version 1.

@@ -32,7 +32,7 @@ import numpy as np
 
 from .distribution import (LognormalParams, count_table, rest_of_world_location,
                            sample_histograms, table_top)
-from .indicators import TOP_SHARES, histogram_survival, tie_credit
+from .indicators import TOP_SHARES, tie_credit
 from .intervals import (empirical_limits, limit_discrepancies, log_mean_limits,
                         proportion_limits, similarities)
 
@@ -356,18 +356,18 @@ def _world_blocks(ps: ParameterSet, master_seed: int):
                                  for (params, n), table in zip(groups, tables)]
 
 
-def _value_axis(table_end: int, draws) -> tuple[np.ndarray, np.ndarray]:
+def _value_axis(table_end: int, draws) -> np.ndarray:
     """A block's histograms over one increasing axis of citation counts.
 
     The axis is the table's 0..table_end-1, then every distinct tail value
-    drawn, so tail articles keep their exact counts.  The histograms
-    (float64, exact for integers) have shape (4, B, axis size), stacked as
-    (world, country 1, country 2, rest); the world is the sum of the others.
+    drawn, so tail articles keep their exact counts.  The histograms have
+    shape (4, B, axis size), stacked as (world, country 1, country 2,
+    rest); the world is the sum of the others.
     """
     tails = np.concatenate([tail for _, tail in draws]) - 1
     extra = np.unique(tails) if tails.size else tails
     blocks = draws[0][0].shape[0]
-    hists = np.zeros((4, blocks, table_end + extra.size))
+    hists = np.zeros((4, blocks, table_end + extra.size), dtype=np.int64)
     for group, (hist, _) in enumerate(draws, start=1):
         hists[group, :, :table_end] = hist[:, :table_end]
     if tails.size:
@@ -376,9 +376,9 @@ def _value_axis(table_end: int, draws) -> tuple[np.ndarray, np.ndarray]:
         per_row = np.concatenate([hist[:, table_end] for hist, _ in draws])
         np.add.at(hists.reshape(4 * blocks, -1),
                   (np.repeat(np.arange(blocks, 4 * blocks), per_row),
-                   table_end + np.searchsorted(extra, tails)), 1.0)
+                   table_end + np.searchsorted(extra, tails)), 1)
     np.sum(hists[1:], axis=0, out=hists[0])
-    return np.concatenate([np.arange(table_end, dtype=np.float64), extra]), hists
+    return hists
 
 
 def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
@@ -387,9 +387,14 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
     For each replicate: per-country arithmetic mean, mean and sample
     standard deviation of ln(1 + c), and the three top-X shares computed
     against the full world sample with proportional tie credit.  Each
-    block of replicates is reduced in one pass: one survival count over
-    the stacked (world, country 1, country 2) histograms and one tie
-    credit over all three shares.
+    block of replicates is reduced on the count table's own axis: cells
+    0..table_end-1 and one lumped cell for every count above the table.
+    The countries' sums of c, ln(1 + c) and ln^2(1 + c) are one product of
+    their histograms with those columns (0 in the lumped cell) plus the
+    per-row sums of their tail values.  One tie credit over all three
+    shares is exact whenever the world's lumped count is below every
+    share's q; a block where it is not has a cutoff among the tail values
+    and takes its credits from _value_axis.
     """
     n1, n2, _ = ps.country_sizes()
     sizes = np.array([[n1], [n2]])
@@ -397,18 +402,34 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
     values = np.empty((2, len(REPLICATE_STATISTICS), ps.replicates))
 
     for start, table_end, draws in _world_blocks(ps, master_seed):
-        axis, hists = _value_axis(table_end, draws)
-        block = slice(start, start + hists.shape[1])
-        surv = histogram_survival(hists[:3])
-        _, _, credits = tie_credit(surv[0], shares, surv[1:3])
+        if not start:  # one table per configuration, so one set of columns
+            c = np.arange(table_end + 1.0)
+            c[-1] = 0.0
+            logs = np.log1p(c)
+            columns = np.stack((c, logs, logs * logs), axis=-1)
+        (h1, tail1), (h2, tail2), (h0, _) = draws
+        blocks = h1.shape[0]
+        block = slice(start, start + blocks)
+        countries = np.concatenate((h1, h2))  # row i * blocks + r: country i + 1, replicate r
+        t, _, credits = tie_credit(h0 + h1 + h2, shares, countries.reshape(2, blocks, -1))
+        if (t == table_end).any():  # a cutoff in the lumped cell
+            hists = _value_axis(table_end, draws)
+            _, _, credits = tie_credit(hists[0], shares, hists[1:3])
         values[:, 2:5, block] = credits / sizes[:, :, None]
-        logs = np.log1p(axis)
-        countries = hists[1:3]
-        values[:, 0, block] = countries @ axis / sizes
-        m = countries @ logs / sizes
+
+        sums = countries @ columns
+        tails = np.concatenate((tail1, tail2)) - 1.0
+        if tails.size:
+            rows = np.repeat(np.arange(2 * blocks), countries[:, table_end])
+            tail_logs = np.log1p(tails)
+            for k, weights in enumerate((tails, tail_logs, tail_logs * tail_logs)):
+                sums[:, k] += np.bincount(rows, weights, 2 * blocks)
+        sums = sums.reshape(2, blocks, 3)
+        values[:, 0, block] = sums[..., 0] / sizes
+        m = sums[..., 1] / sizes
         values[:, 1, block] = m
         # two-pass-free sample sd; magnitudes here keep it well conditioned
-        ss = countries @ (logs * logs) - sizes * m * m
+        ss = sums[..., 2] - sizes * m * m
         values[:, 5, block] = np.sqrt(np.maximum(ss, 0.0) / (sizes - 1))
 
     return ReplicateStats(n1=n1, n2=n2, values=values)

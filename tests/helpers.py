@@ -9,10 +9,10 @@ the reference it is checked against:
   plain Python; it shares no code with `indicators.tie_credit`.
 - `country_indicators` recomputes one replicate's five indicators from
   its article counts, taking the top-X credits from `credit_oracle`; it
-  shares no code with the survival counts of `replicate_statistics`.
+  shares no code with the block reduction of `replicate_statistics`.
 - `replicate_world` expands one replicate's raw `sample_histograms`
   draws into article counts itself; it shares no code with
-  `experiment._value_axis`, which the sweep reduces through.
+  `replicate_statistics` or `experiment._value_axis`, its exact path.
 - `empirical_oracle`, `t_interval_oracle`, `normal_interval_oracle`,
   `similarity_oracle` and `discrepancy_oracle` evaluate one case of each
   interval formula on plain floats, with the quantiles from

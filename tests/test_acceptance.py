@@ -25,7 +25,7 @@ from citesim.experiment import (
     run_sweep,
     summarize,
 )
-from citesim.indicators import histogram_survival, tie_credit
+from citesim.indicators import tie_credit
 from citesim.intervals import empirical_limits, proportion_limits, similarities
 from helpers import chi_square_gof, credit_oracle, mixture_mean
 
@@ -65,8 +65,7 @@ def test_criterion_01_worked_rank_sums_exact():
 def _article_credit(counts, share):
     """tie_credit of each article of a world, as a group of one."""
     one_hot = np.eye(max(counts) + 1)[counts]
-    world = histogram_survival(one_hot.sum(axis=0))
-    return tie_credit(world, share, histogram_survival(one_hot))[2]
+    return tie_credit(one_hot.sum(axis=0), share, one_hot)[2]
 
 
 def test_criterion_02_tie_credit_oracle():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from citesim import experiment
 from citesim._special import ndtri, stdtrit
 from citesim.distribution import LognormalParams, rest_of_world_location, table_top
 from citesim.experiment import (
@@ -25,6 +26,7 @@ from citesim.experiment import (
     summarize,
     total_draws,
 )
+from citesim.indicators import TOP_SHARES, tie_credit
 from citesim.intervals import log_mean_limits
 from helpers import (
     COUNTRY_1,
@@ -46,6 +48,7 @@ SMALL = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=60, replicates=50
 # sigma = 3 puts about 1% of articles above the count table.
 HEAVY_TAIL = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=200, sigma=3.0,
                           replicates=100)
+LARGE_WORLD = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=50_000, replicates=128)
 
 
 class TestParameterSet:
@@ -166,7 +169,11 @@ class TestTotalDraws:
 
 class TestReplicateStatistics:
     @pytest.mark.parametrize("ps", [SMALL, HEAVY_TAIL], ids=["light-tail", "heavy-tail"])
-    def test_matches_public_indicator_pipeline(self, ps):
+    def test_matches_public_indicator_pipeline(self, ps, monkeypatch):
+        exact_blocks = []
+        value_axis = experiment._value_axis
+        monkeypatch.setattr(experiment, "_value_axis",
+                            lambda *args: exact_blocks.append(args) or value_axis(*args))
         stats = replicate_statistics(ps, master_seed=7)
         n1, n2, n0 = ps.country_sizes()
         membership = np.repeat([COUNTRY_1, COUNTRY_2, REST], [n1, n2, n0])
@@ -190,6 +197,73 @@ class TestReplicateStatistics:
                 mine = counts[membership == country]
                 assert stats.log_sd[i, r] == pytest.approx(np.log1p(mine).std(ddof=1), rel=1e-9)
         assert tail_cutoffs > 0 or ps is not HEAVY_TAIL
+        assert exact_blocks or ps is not HEAVY_TAIL
+
+    @pytest.mark.parametrize("ps", [SMALL, LARGE_WORLD], ids=["small", "large-world"])
+    def test_lumped_and_value_axis_paths_agree(self, ps):
+        # Every block reduced again over _value_axis, the exact path, as the
+        # whole reduction once was: integer sums and credits agree exactly,
+        # the ln(1 + c) sums only to rounding, being summed in another order.
+        stats = replicate_statistics(ps, master_seed=7)
+        sizes = np.array([[stats.n1], [stats.n2]])
+        for start, table_end, draws in experiment._world_blocks(ps, 7):
+            hists = experiment._value_axis(table_end, draws)
+            tails = np.concatenate([tail for _, tail in draws]) - 1
+            axis = np.concatenate([np.arange(table_end), np.unique(tails)]).astype(np.float64)
+            assert axis.size == hists.shape[-1]
+            block = stats.values[:, :, start:start + hists.shape[1]]
+            countries = hists[1:3]
+            _, _, credits = tie_credit(hists[0], np.array(TOP_SHARES)[:, None], countries)
+            assert block[:, 2:5].tolist() == (credits / sizes[:, :, None]).tolist()
+            assert block[:, 0].tolist() == (countries @ axis / sizes).tolist()
+            logs = np.log1p(axis)
+            m = countries @ logs / sizes
+            sd = np.sqrt((countries @ (logs * logs) - sizes * m * m) / (sizes - 1))
+            np.testing.assert_allclose(block[:, 1], m, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(block[:, 5], sd, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n_world", [500, 5000, 50_000])
+    def test_light_tails_never_take_the_exact_path(self, n_world, monkeypatch):
+        # At sigma 1 the world's count above the table stays far below the
+        # top 1%'s q, so every block is reduced on the table's own axis.
+        def refuse(*args):
+            raise AssertionError("a block went through _value_axis")
+
+        monkeypatch.setattr(experiment, "_value_axis", refuse)
+        ps = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=n_world, replicates=200)
+        assert np.isfinite(replicate_statistics(ps, master_seed=7).values).all()
+
+    @pytest.mark.parametrize("country1_tail", [[51], [51, 46]], ids=["at-q", "above-q"])
+    def test_cutoff_in_lumped_cell_takes_exact_path(self, country1_tail, monkeypatch):
+        # One hand-made world of 200 articles over a four-cell table, so the
+        # top 1% holds q = 2 articles.  Its tail (shifted counts above the
+        # table) is either exactly q articles or more: either way the cutoff
+        # sits in the lumped cell and the credits must come from the exact path.
+        ps = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=200, replicates=1)
+        lumped = len(country1_tail)
+        draws = [(np.array([[10, 10, 10, 10 - lumped, lumped]]), np.array(country1_tail)),
+                 (np.array([[5, 5, 5, 4, 1]]), np.array([41])),
+                 (np.array([[35, 35, 35, 35, 0]]), np.empty(0, dtype=np.int64))]
+        monkeypatch.setattr(experiment, "_world_blocks", lambda *args: iter([(0, 4, draws)]))
+        exact_blocks = []
+        value_axis = experiment._value_axis
+        monkeypatch.setattr(experiment, "_value_axis",
+                            lambda *args: exact_blocks.append(args) or value_axis(*args))
+        stats = replicate_statistics(ps, master_seed=0)
+        assert len(exact_blocks) == 1
+        groups = [np.concatenate([np.repeat(np.arange(4), hist[0, :4]), tail - 1])
+                  for hist, tail in draws]
+        world = WorldReplicate(np.concatenate(groups), np.repeat([COUNTRY_1, COUNTRY_2, REST],
+                                                                 [40, 20, 140]))
+        for i, country in enumerate((COUNTRY_1, COUNTRY_2)):
+            expected = country_indicators(world, country)
+            assert stats.arith[i, 0] == expected.arith
+            assert math.expm1(stats.log_mean[i, 0]) == pytest.approx(expected.geo, rel=1e-12)
+            assert stats.top[:, i, 0].tolist() == pytest.approx(
+                [expected.top1, expected.top10, expected.top50], abs=1e-12)
+        # The above-q world's two most cited articles are both country 1's;
+        # the lumped cell would have split the two slots over its three.
+        assert stats.top[0, :, 0].tolist() == ([1 / 40, 1 / 20] if lumped == 1 else [2 / 40, 0])
 
     def test_world_sampler_distribution(self):
         # equal locations everywhere turn the world into one iid sample
