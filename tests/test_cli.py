@@ -53,6 +53,8 @@ GOLDEN_SHA256 = {
 # the same Python and numpy versions.
 GOLDEN_APPENDIX_ARGS = ["appendix", "--replicates", "200", "--seed", "3"]
 GOLDEN_APPENDIX_SHA256 = "0c9c05910897c349ea83d03014970573068653daf85104d7728822ee5b7d534a"
+# The worked Table 4 rank sums, which sample nothing.
+GOLDEN_TABLE4_SHA256 = "ac88d586f2665e285153b152599656cc4cf16453643e659f6694711d0aaa7cd6"
 
 
 def read_csv(path):
@@ -296,6 +298,12 @@ class TestModes:
         assert main(GOLDEN_APPENDIX_ARGS + ["--out", str(tmp_path)]) == 0
         got = hashlib.sha256((tmp_path / "appendix.json").read_bytes()).hexdigest()
         assert got == GOLDEN_APPENDIX_SHA256, (
+            f"Python {platform.python_version()}, numpy {np.__version__}")
+
+    def test_golden_table4_hash(self, tmp_path):
+        assert main(["table4", "--out", str(tmp_path)]) == 0
+        got = hashlib.sha256((tmp_path / "table4.csv").read_bytes()).hexdigest()
+        assert got == GOLDEN_TABLE4_SHA256, (
             f"Python {platform.python_version()}, numpy {np.__version__}")
 
     def test_manifest_reproduces_run(self, tmp_path):
