@@ -6,7 +6,7 @@ citation distributions and measures how precisely five indicators
 the countries, including empirical and formula confidence intervals.
 """
 
-from .distribution import LognormalParams, cdf, pmf, rest_of_world_location
+from .distribution import rest_of_world_location
 from .experiment import (
     INDICATOR_NAMES,
     ConfigSummary,

@@ -28,8 +28,13 @@ __all__ = [
     "mann_whitney_u",
     "ks_two_sample",
     "table4_example",
+    "APPENDIX_DEMO",
     "appendix_demo",
 ]
+
+# The appendix demo's fixed inputs: country sizes, world size and the
+# location both countries share.
+APPENDIX_DEMO = {"sample1_size": 75, "sample2_size": 25, "world_size": 500, "mu": 0.9}
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,21 @@ class FrequencyTable:
         if sum(r[1] for r in rows) == 0 or sum(r[2] for r in rows) == 0:
             raise ValueError("each group needs at least one observation")
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_samples(cls, a, b) -> "FrequencyTable":
+        """The frequency table of two samples over their distinct values."""
+        a = np.asarray(a, dtype=np.float64)
+        values, index = np.unique(np.concatenate([a, np.asarray(b, dtype=np.float64)]),
+                                  return_inverse=True)
+        f1 = np.bincount(index[:a.size], minlength=values.size)
+        f2 = np.bincount(index[a.size:], minlength=values.size)
+        return cls(rows=tuple(zip(values.tolist(), f1.tolist(), f2.tolist())))
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """The (rows, 2) array of the two groups' frequencies."""
+        return np.array([r[1:] for r in self.rows], dtype=np.int64)
 
     @property
     def group_sizes(self) -> tuple[int, int]:
@@ -99,18 +119,11 @@ def rank_sums_from_frequency(table: FrequencyTable) -> RankSums:
     observation receives the block midpoint, and a group's rank sum is the
     frequency-weighted sum of those midpoints.
     """
-    start = 0
-    average_ranks = []
-    sum1 = 0.0
-    sum2 = 0.0
-    for _value, f1, f2 in table.rows:
-        block = f1 + f2
-        midpoint = start + (block + 1) / 2.0
-        average_ranks.append(midpoint)
-        sum1 += f1 * midpoint
-        sum2 += f2 * midpoint
-        start += block
-    return RankSums(sum1, sum2, tuple(average_ranks))
+    freq = table.frequencies
+    block = freq.sum(axis=1)
+    midpoints = np.cumsum(block) - (block - 1) / 2.0
+    group1, group2 = (midpoints @ freq).tolist()
+    return RankSums(group1, group2, tuple(midpoints.tolist()))
 
 
 def mann_whitney_u(a, b) -> MannWhitneyResult:
@@ -121,18 +134,11 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     both samples is identical the variance vanishes and p = 1 by
     convention.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be non-empty")
-    n1, n2 = a.size, b.size
+    table = FrequencyTable.from_samples(a, b)
+    n1, n2 = table.group_sizes
     n = n1 + n2
-    combined = np.concatenate([a, b])
-    _, block, tie_sizes = np.unique(combined, return_inverse=True, return_counts=True)
-    # Tied observations share their block's midpoint rank.
-    ranks = (np.cumsum(tie_sizes) - (tie_sizes - 1) / 2.0)[block]
-    rank_sum1 = float(ranks[:n1].sum())
-    u = rank_sum1 - n1 * (n1 + 1) / 2.0
+    u = rank_sums_from_frequency(table).group1 - n1 * (n1 + 1) / 2.0
+    tie_sizes = table.frequencies.sum(axis=1)
     tie_term = float((tie_sizes.astype(np.float64) ** 3 - tie_sizes).sum()) / (n * (n - 1.0))
     variance = n1 * n2 / 12.0 * ((n + 1.0) - tie_term)
     if variance <= 0.0:
@@ -145,18 +151,15 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
 def ks_two_sample(a, b) -> KSResult:
     """Two-sample Kolmogorov-Smirnov test with the asymptotic p value.
 
-    D is the supremum difference of the two empirical CDFs; the p value is
-    the Kolmogorov survival function at sqrt(n1 n2 / (n1 + n2)) * D.
+    D is the supremum difference of the two empirical CDFs, which step
+    only at the samples' distinct values; the p value is the Kolmogorov
+    survival function at sqrt(n1 n2 / (n1 + n2)) * D.
     """
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be non-empty")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    d = float(np.abs(cdf_a - cdf_b).max())
-    effective_n = math.sqrt(a.size * b.size / (a.size + b.size))
+    table = FrequencyTable.from_samples(a, b)
+    n1, n2 = table.group_sizes
+    cumulative = np.cumsum(table.frequencies, axis=0)
+    d = float(np.abs(cumulative[:, 0] / n1 - cumulative[:, 1] / n2).max())
+    effective_n = math.sqrt(n1 * n2 / (n1 + n2))
     p = float(kolmogorov(effective_n * d))
     return KSResult(d=d, p=min(max(p, 0.0), 1.0))
 
@@ -181,30 +184,24 @@ def table4_example() -> FrequencyTable:
     )
 
 
-def appendix_demo(
-    sample1_size: int = 75,
-    sample2_size: int = 25,
-    world_size: int = 500,
-    mu: float = 0.9,
-    sigma: float = 1.0,
-    mu_overall: float = 1.0,
-    replicates: int = 1000,
-    seed: int = 0,
-) -> DemoReport:
+def appendix_demo(sigma: float = 1.0, mu_overall: float = 1.0, replicates: int = 1000,
+                  seed: int = 0) -> DemoReport:
     """Replicated two-country run with identical locations but unequal sizes.
 
+    The country and world sizes and the shared location are APPENDIX_DEMO's.
     Both countries draw from the same distribution; per replicate the
     top-1% share of each country is recorded (full proportional tie
     credit, same pipeline as the sweeps).  Reports the two share means,
     Mann-Whitney and KS p values, and each country's fraction of
     replicates with no top-1% credit at all.
     """
+    demo = APPENDIX_DEMO
     ps = ParameterSet(
-        mu1=mu,
-        mu2=mu,
-        p1=sample1_size / world_size,
-        p2=sample2_size / world_size,
-        n_world=world_size,
+        mu1=demo["mu"],
+        mu2=demo["mu"],
+        p1=demo["sample1_size"] / demo["world_size"],
+        p2=demo["sample2_size"] / demo["world_size"],
+        n_world=demo["world_size"],
         sigma=sigma,
         mu_overall=mu_overall,
         replicates=replicates,

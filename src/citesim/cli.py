@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .appendix_stats import appendix_demo, rank_sums_from_frequency, table4_example
+from .appendix_stats import (APPENDIX_DEMO, appendix_demo, rank_sums_from_frequency,
+                             table4_example)
 from .experiment import (
     DEFAULT_MU_VALUES,
     DEFAULT_N_VALUES,
@@ -43,13 +44,10 @@ log = logging.getLogger(__name__)
 
 MODES = ("sweep", "appendix", "table4")
 
-# The appendix demo's fixed inputs: country sizes, world size and the
-# location both countries share.
-_APPENDIX_DEMO = {"sample1_size": 75, "sample2_size": 25, "world_size": 500, "mu": 0.9}
 # Keys a manifest.json echoes beyond the inputs, so a manifest can be fed
 # straight back through --config to reproduce a run.
 _MANIFEST_ECHO_KEYS = {"version", "configurations", "total_draws", "stream_version",
-                       "numpy_version", "python_version", *_APPENDIX_DEMO}
+                       "numpy_version", "python_version", *APPENDIX_DEMO}
 
 
 class ConfigError(ValueError):
@@ -161,6 +159,10 @@ def _load_config_file(path: Path) -> dict:
     if stream != STREAM_VERSION:
         raise ConfigError(f"config: stream_version {stream} in {path} differs from this "
                           f"library's {STREAM_VERSION}; the run cannot be reproduced")
+    for key, running in _runtime_versions().items():
+        if key in raw and raw[key] != running:
+            log.warning("config: %s %s in %s differs from this run's %s; the artifacts "
+                        "may differ from the recorded run's", key, raw[key], path, running)
     return {key: value for key, value in raw.items() if key in _CONFIG_KEYS}
 
 
@@ -273,11 +275,16 @@ def _run_inputs(config: RunConfig) -> dict:
         "sigma": config.sigma,
         "mu_overall": config.mu_overall,
         "stream_version": STREAM_VERSION,
-        # numpy Generator streams are only stable within one numpy version (NEP 19).
-        "numpy_version": np.__version__,
-        # Count tables and quantiles come from the interpreter's math.erfc and statistics.
-        "python_version": platform.python_version(),
+        **_runtime_versions(),
     }
+
+
+def _runtime_versions() -> dict:
+    """The versions a sampled run's artifacts depend on beyond the library's:
+    numpy Generator streams are only stable within one numpy version (NEP 19),
+    and count tables and quantiles come from the interpreter's math.erfc and
+    statistics."""
+    return {"numpy_version": np.__version__, "python_version": platform.python_version()}
 
 
 def _write_manifest(outdir: Path, inputs: dict) -> Path:
@@ -313,14 +320,13 @@ def _execute(config: RunConfig) -> None:
         return
 
     if config.mode == "appendix":
-        report = appendix_demo(**_APPENDIX_DEMO, sigma=config.sigma,
-                               mu_overall=config.mu_overall,
+        report = appendix_demo(sigma=config.sigma, mu_overall=config.mu_overall,
                                replicates=config.replicates, seed=config.master_seed)
         payload = asdict(report)
         payload.update({"replicates": config.replicates, "master_seed": config.master_seed})
         path = outdir / "appendix.json"
         path.write_text(json.dumps(payload, indent=2) + "\n")
-        _write_manifest(outdir, {**_run_inputs(config), **_APPENDIX_DEMO})
+        _write_manifest(outdir, {**_run_inputs(config), **APPENDIX_DEMO})
         log.info("wrote %s", path)
         return
 

@@ -9,16 +9,12 @@ so uncited articles map to x = 1 and the support stays strictly positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._special import ndtr, ndtri
 
 __all__ = [
-    "LognormalParams",
-    "pmf",
-    "cdf",
     "table_top",
     "count_table",
     "sample_histograms",
@@ -33,52 +29,10 @@ TABLE_TAIL_MASS = 1e-4
 MAX_TABLE_TOP = 4096
 
 
-@dataclass(frozen=True)
-class LognormalParams:
-    """Location/scale pair defining one discretised lognormal population."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-
-def _upper_tail(x, params: LognormalParams):
+def _upper_tail(x, mu: float, sigma: float):
     """Lognormal mass above x over the mass above 0.5, from upper-tail normal
     probabilities ndtr(-z), which keep their relative precision far into the tail."""
-    return (ndtr((params.mu - np.log(x)) / params.sigma)
-            / ndtr((params.mu - _LOG_HALF) / params.sigma))
-
-
-def _per_count(k, mass):
-    """mass(k) for a positive integer k or an array of them; a float for a scalar."""
-    k_arr = np.asarray(k, dtype=np.float64)
-    if np.any(k_arr < 1) or np.any(k_arr != np.floor(k_arr)):
-        raise ValueError("k must be a positive integer; no mass below 1")
-    out = mass(k_arr)
-    return float(out) if np.ndim(k) == 0 else out
-
-
-def pmf(k, params: LognormalParams):
-    """Probability of the shifted count k (positive integer).
-
-    Closed form of the unit-interval integral of the lognormal density
-    around k, renormalised by the mass on [0.5, inf), with Q(z) = Phi(-z):
-
-        [Q((ln(k-0.5)-mu)/sigma) - Q((ln(k+0.5)-mu)/sigma)] / Q((ln 0.5 - mu)/sigma)
-
-    Accepts a scalar or an array of integers; sums to 1 over k >= 1.
-    """
-    return _per_count(k, lambda x: _upper_tail(x - 0.5, params) - _upper_tail(x + 0.5, params))
-
-
-def cdf(k, params: LognormalParams):
-    """Cumulative probability of shifted counts 1..k (telescoped pmf sum)."""
-    return _per_count(k, lambda x: 1.0 - _upper_tail(x + 0.5, params))
+    return ndtr((mu - np.log(x)) / sigma) / ndtr((mu - _LOG_HALF) / sigma)
 
 
 def table_top(mu: float, sigma: float) -> int:
@@ -88,13 +42,13 @@ def table_top(mu: float, sigma: float) -> int:
     return int(min(max(math.ceil(math.exp(mu + sigma * z) - 0.5), 1), MAX_TABLE_TOP))
 
 
-def count_table(params: LognormalParams, top: int) -> np.ndarray:
+def count_table(mu: float, sigma: float, top: int) -> np.ndarray:
     """Multinomial cell probabilities P(x = 1), ..., P(x = top), P(x > top)."""
-    upper = _upper_tail(np.arange(0.5, top + 1.0), params)
+    upper = _upper_tail(np.arange(0.5, top + 1.0), mu, sigma)
     return np.append(upper[:-1] - upper[1:], upper[-1])
 
 
-def sample_histograms(params: LognormalParams, table: np.ndarray, n: int,
+def sample_histograms(mu: float, sigma: float, table: np.ndarray, n: int,
                       rng: np.random.Generator, size=None) -> tuple[np.ndarray, np.ndarray]:
     """Histograms of n shifted counts over a count table's cells, and the tail.
 
@@ -111,12 +65,12 @@ def sample_histograms(params: LognormalParams, table: np.ndarray, n: int,
     if not beyond_top:  # drawing no uniforms leaves the stream where it is
         return hist, np.empty(0, dtype=np.int64)
     u = 1.0 - rng.random(beyond_top)  # in (0, 1]
-    beyond = ndtr((params.mu - math.log(top + 0.5)) / params.sigma)
-    tail = np.floor(np.exp(params.mu - params.sigma * ndtri(u * beyond)) + 0.5)
+    beyond = ndtr((mu - math.log(top + 0.5)) / sigma)
+    tail = np.floor(np.exp(mu - sigma * ndtri(u * beyond)) + 0.5)
     # Counts become float64 histogram axes, which are exact only below 2**53.
     if tail.max() >= 2.0**53:
         raise ValueError(f"drew a count of {tail.max():.3g}, at or above 2**53, "
-                         f"where counts are no longer exact (sigma={params.sigma:g})")
+                         f"where counts are no longer exact (sigma={sigma:g})")
     return hist, np.maximum(tail.astype(np.int64), top + 1)
 
 

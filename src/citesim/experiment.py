@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import (LognormalParams, count_table, rest_of_world_location,
-                           sample_histograms, table_top)
+from .distribution import count_table, rest_of_world_location, sample_histograms, table_top
 from .indicators import TOP_SHARES, tie_credit
 from .intervals import (empirical_limits, limit_discrepancies, log_mean_limits,
                         proportion_limits, similarities)
@@ -347,13 +346,13 @@ def _world_blocks(ps: ParameterSet, master_seed: int):
     locations = (ps.mu1, ps.mu2,
                  rest_of_world_location(ps.mu_overall, ps.mu1, ps.mu2, ps.p1, ps.p2))
     table_end = table_top(max(locations), ps.sigma)
-    groups = [(LognormalParams(mu, ps.sigma), n) for mu, n in zip(locations, ps.country_sizes())]
-    tables = [count_table(params, table_end) for params, _ in groups]
+    tables = [count_table(mu=mu, sigma=ps.sigma, top=table_end) for mu in locations]
     rng = np.random.default_rng(derive_seed(master_seed, ps.config_index))
     for start in range(0, ps.replicates, REPLICATE_BLOCK):
         size = min(REPLICATE_BLOCK, ps.replicates - start)
-        yield start, table_end, [sample_histograms(params, table, n, rng, size)
-                                 for (params, n), table in zip(groups, tables)]
+        yield start, table_end, [
+            sample_histograms(mu=mu, sigma=ps.sigma, table=table, n=n, rng=rng, size=size)
+            for mu, table, n in zip(locations, tables, ps.country_sizes())]
 
 
 def _value_axis(table_end: int, draws) -> np.ndarray:

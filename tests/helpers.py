@@ -20,10 +20,12 @@ the reference it is checked against:
   `citesim.intervals`.
 - `mixture_mean` is the continuous-lognormal mixture mean; it shares no
   code with `distribution.rest_of_world_location`, which solves it.
-- `expand_frequencies` lists the two samples of a frequency table; it
-  shares no code with `appendix_stats.rank_sums_from_frequency`.
-- `chi_square_gof` only consumes the closed-form pmf/cdf it is checking
-  a sampler's histograms against.
+- `expand_frequencies` lists the two samples of a frequency table, so
+  scipy can rank them; it shares no code with `appendix_stats`, whose
+  one rank routine is `rank_sums_from_frequency`.
+- `pmf` and `cdf` give the discretised lognormal from `scipy.stats`'
+  normal upper tail; they share no code with `distribution.count_table`.
+- `chi_square_gof` checks a sampler's histograms against `pmf`/`cdf`.
 """
 
 import math
@@ -33,7 +35,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import stats as sps
 
-from citesim.distribution import cdf, pmf
 from citesim.experiment import _world_blocks
 from citesim.indicators import TOP_SHARES
 
@@ -217,8 +218,25 @@ def expand_frequencies(table):
     return np.array(group1), np.array(group2)
 
 
-def chi_square_gof(table_counts, tail, params, top_bin=100):
-    """Chi-square statistic/dof of a histogram of draws against the closed-form pmf.
+def _upper(x, mu, sigma):
+    """Lognormal mass above x over the mass above 0.5."""
+    return sps.norm.sf((np.log(x) - mu) / sigma) / sps.norm.sf((math.log(0.5) - mu) / sigma)
+
+
+def pmf(k, mu, sigma):
+    """P(x = k) of the discretised lognormal: the lognormal mass on
+    [k - 0.5, k + 0.5] over the mass on [0.5, inf)."""
+    k = np.asarray(k, dtype=np.float64)
+    return _upper(k - 0.5, mu, sigma) - _upper(k + 0.5, mu, sigma)
+
+
+def cdf(k, mu, sigma):
+    """P(x <= k) of the discretised lognormal."""
+    return 1.0 - _upper(np.asarray(k, dtype=np.float64) + 0.5, mu, sigma)
+
+
+def chi_square_gof(table_counts, tail, mu, sigma, top_bin=100):
+    """Chi-square statistic/dof of a histogram of draws against `pmf`.
 
     table_counts[k - 1] counts the draws of x = k, and tail lists the
     draws above the last table value, as `sample_histograms` gives them
@@ -233,8 +251,8 @@ def chi_square_gof(table_counts, tail, params, top_bin=100):
                 + np.bincount(np.minimum(tail, top_bin + 1), minlength=bins))[1:]
     n = table_counts.sum() + tail.size
     ks = np.arange(1, top_bin + 1)
-    expected = pmf(ks, params) * n
-    tail_expected = (1.0 - cdf(top_bin, params)) * n
+    expected = pmf(ks, mu, sigma) * n
+    tail_expected = (1.0 - cdf(top_bin, mu, sigma)) * n
     stat = float(((observed[:top_bin] - expected) ** 2 / expected).sum())
     stat += float((observed[top_bin] - tail_expected) ** 2 / tail_expected)
     return stat, top_bin

@@ -15,8 +15,7 @@ from scipy import stats as sps
 
 from citesim.appendix_stats import appendix_demo, rank_sums_from_frequency, table4_example
 from citesim.cli import main
-from citesim.distribution import (LognormalParams, count_table, rest_of_world_location,
-                                  sample_histograms, table_top)
+from citesim.distribution import count_table, rest_of_world_location, sample_histograms, table_top
 from citesim.experiment import (
     DEFAULT_MU_VALUES,
     DEFAULT_P_VALUES,
@@ -107,10 +106,10 @@ def test_criterion_03_mixture_identity_over_grid():
 
 def test_criterion_04_sampler_chi_square():
     start = time.perf_counter()
-    params = LognormalParams(1.0, 1.0)
-    table = count_table(params, table_top(params.mu, params.sigma))
-    hist, tail = sample_histograms(params, table, 1_000_000, np.random.default_rng(MASTER_SEED))
-    stat, dof = chi_square_gof(hist[:-1], tail, params)
+    table = count_table(mu=1.0, sigma=1.0, top=table_top(mu=1.0, sigma=1.0))
+    hist, tail = sample_histograms(mu=1.0, sigma=1.0, table=table, n=1_000_000,
+                                   rng=np.random.default_rng(MASTER_SEED))
+    stat, dof = chi_square_gof(hist[:-1], tail, mu=1.0, sigma=1.0)
     critical = sps.chi2.ppf(0.999, dof)
     elapsed = time.perf_counter() - start
     assert stat < critical

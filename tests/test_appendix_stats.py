@@ -20,7 +20,13 @@ EXPECTED_AVERAGE_RANKS = (675.0, 1529.0, 1755.5, 1895.0, 1988.5, 1995.0)
 
 
 def random_samples(seed, ties=True):
+    """Two samples of 120 and 80 values: small integers, continuous values
+    (ties False), or with ties "shares", top-X shares of a 75- and a
+    25-article country as the appendix demo draws them, where 3/75 and 1/25
+    coincide and the second sample never takes 1/75 or 2/75."""
     rng = np.random.default_rng(seed)
+    if ties == "shares":
+        return rng.binomial(75, 0.02, size=120) / 75, rng.binomial(25, 0.02, size=80) / 25
     pool = rng.integers(0, 8, size=200) if ties else rng.random(200) * 100
     return pool[:120].astype(float), pool[120:].astype(float)
 
@@ -100,7 +106,7 @@ class TestMannWhitney:
         rev = mann_whitney_u(b, a)
         assert fwd.u + rev.u == pytest.approx(a.size * b.size)
 
-    @pytest.mark.parametrize("seed,ties", [(2, True), (3, False), (4, True)])
+    @pytest.mark.parametrize("seed,ties", [(2, True), (3, False), (4, True), (5, "shares")])
     def test_matches_scipy_asymptotic(self, seed, ties):
         a, b = random_samples(seed, ties)
         mine = mann_whitney_u(a, b)
@@ -138,8 +144,9 @@ class TestKolmogorovSmirnov:
         a, b = random_samples(6)
         assert ks_two_sample(a, b).d == ks_two_sample(b, a).d
 
-    def test_statistic_matches_scipy(self):
-        a, b = random_samples(7)
+    @pytest.mark.parametrize("seed,ties", [(7, True), (8, "shares")])
+    def test_statistic_matches_scipy(self, seed, ties):
+        a, b = random_samples(seed, ties)
         mine = ks_two_sample(a, b)
         ref = sps.ks_2samp(a, b, method="asymp")
         assert mine.d == pytest.approx(float(ref.statistic), abs=1e-12)

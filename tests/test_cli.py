@@ -335,6 +335,25 @@ class TestModes:
         assert "stream_version 1" in capsys.readouterr().err
         assert not (tmp_path / "replay").exists()
 
+    @pytest.mark.parametrize("edit", [{}, {"numpy_version": "1.24.0", "python_version": "3.9.0"}],
+                             ids=["same-versions", "other-versions"])
+    def test_manifest_of_other_versions_warns(self, edit, tmp_path, caplog):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["appendix", "--replicates", "40", "--seed", "2", "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest.update(edit)
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(manifest))
+        with caplog.at_level(logging.WARNING, logger="citesim.cli"):
+            assert main(["--config", str(path), "--out", str(second)]) == 0
+        warnings = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.WARNING]
+        assert len(warnings) == len(edit)
+        for message, (key, running) in zip(warnings, [("numpy_version", np.__version__),
+                                                      ("python_version",
+                                                       platform.python_version())]):
+            assert key in message and edit[key] in message and running in message
+        assert (second / "appendix.json").read_bytes() == (first / "appendix.json").read_bytes()
+
     def test_tables_recomputable_from_records(self, tmp_path):
         assert main([
             "sweep", "--mu-values", "0.9", "1.0", "1.1", "--p-values", "0.1", "0.2",

@@ -10,10 +10,7 @@ from scipy import integrate
 from scipy import stats as sps
 
 from citesim.distribution import (
-    LognormalParams,
-    cdf,
     count_table,
-    pmf,
     rest_of_world_location,
     sample_histograms,
     table_top,
@@ -21,15 +18,20 @@ from citesim.distribution import (
 from citesim.experiment import DEFAULT_MU_VALUES, DEFAULT_P_VALUES, ParameterSet
 from helpers import chi_square_gof, mixture_mean
 
-STANDARD = LognormalParams(mu=1.0, sigma=1.0)
+STANDARD = {"mu": 1.0, "sigma": 1.0}
 
 
-def draw(params, n, rng):
+def draw(n, rng, mu=1.0, sigma=1.0):
     """One sample_histograms draw over the parameters' own count table:
     counts of x = 1..top, and the values above top."""
-    table = count_table(params, table_top(params.mu, params.sigma))
-    hist, tail = sample_histograms(params, table, n, rng)
+    table = count_table(mu=mu, sigma=sigma, top=table_top(mu=mu, sigma=sigma))
+    hist, tail = sample_histograms(mu=mu, sigma=sigma, table=table, n=n, rng=rng)
     return hist[:-1], tail
+
+
+def table_cdf(k):
+    """P(x <= k): one minus the lumped cell of the count table that ends at k."""
+    return 1.0 - count_table(**STANDARD, top=k)[-1]
 
 
 def density(x, mu, sigma):
@@ -40,17 +42,18 @@ def density(x, mu, sigma):
 
 
 class TestPmf:
+    """The count table's cells are the pmf of x = 1..top."""
+
     @pytest.mark.parametrize("mu,sigma", [(1.0, 1.0), (0.9, 1.0), (2.0, 0.5), (0.0, 2.0)])
     def test_matches_quadrature_oracle(self, mu, sigma):
-        params = LognormalParams(mu, sigma)
+        table = count_table(mu=mu, sigma=sigma, top=40)
         denominator, _ = integrate.quad(density, 0.5, np.inf, args=(mu, sigma))
         for k in (1, 2, 3, 7, 40):
             mass, _ = integrate.quad(density, k - 0.5, k + 0.5, args=(mu, sigma))
-            assert pmf(k, params) == pytest.approx(mass / denominator, abs=1e-10)
+            assert table[k - 1] == pytest.approx(mass / denominator, abs=1e-10)
 
     def test_partial_sums_approach_one_from_below(self):
-        ks = np.arange(1, 200_001)
-        masses = pmf(ks, STANDARD)
+        masses = count_table(**STANDARD, top=200_000)[:-1]
         assert np.all(masses >= 0.0)
         assert np.all(masses[:1000] > 0.0)  # tail masses underflow to 0.0
         partial = np.cumsum(masses)
@@ -60,7 +63,7 @@ class TestPmf:
     @pytest.mark.parametrize("sigma", [1.0, 3.0])
     def test_far_tail_matches_mpmath(self, sigma):
         mpmath = pytest.importorskip("mpmath")
-        params = LognormalParams(1.0, sigma)
+        table = count_table(mu=1.0, sigma=sigma, top=10_000)
 
         def upper(x):  # lognormal mass above x, unnormalised, at 50 digits
             return mpmath.ncdf((1.0 - mpmath.log(x)) / sigma)
@@ -68,92 +71,71 @@ class TestPmf:
         with mpmath.workdps(50):
             for k in (1, 10, 100, 1000, 3000, 10_000):
                 exact = (upper(k - 0.5) - upper(k + 0.5)) / upper(0.5)
-                assert pmf(k, params) == pytest.approx(float(exact), rel=1e-11), k
+                assert table[k - 1] == pytest.approx(float(exact), rel=1e-11), k
             exact_tail = upper(3000.5) / upper(0.5)
-            assert count_table(params, 3000)[-1] == pytest.approx(float(exact_tail), rel=1e-11)
-
-    def test_support_boundary(self):
-        with pytest.raises(ValueError):
-            pmf(0, STANDARD)
-        with pytest.raises(ValueError):
-            pmf(-3, STANDARD)
-        with pytest.raises(ValueError):
-            pmf(1.5, STANDARD)
-
-    def test_vectorised_matches_scalar(self):
-        ks = np.array([1, 2, 10])
-        vec = pmf(ks, STANDARD)
-        assert vec == pytest.approx([pmf(int(k), STANDARD) for k in ks], rel=1e-15)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            LognormalParams(mu=1.0, sigma=0.0)
-        with pytest.raises(ValueError):
-            LognormalParams(mu=math.inf, sigma=1.0)
+            assert count_table(mu=1.0, sigma=sigma, top=3000)[-1] == pytest.approx(
+                float(exact_tail), rel=1e-11)
 
 
 class TestCdf:
+    """One minus a count table's lumped cell is the cdf at its last count."""
+
     def test_telescopes_to_pmf(self):
         ks = np.arange(2, 200)
-        diffs = cdf(ks, STANDARD) - cdf(ks - 1, STANDARD)
-        assert diffs == pytest.approx(pmf(ks, STANDARD), abs=1e-12)
+        diffs = [table_cdf(k) - table_cdf(k - 1) for k in ks]
+        assert diffs == pytest.approx(count_table(**STANDARD, top=200)[ks - 1], abs=1e-12)
 
     def test_base_case(self):
-        assert cdf(1, STANDARD) == pytest.approx(pmf(1, STANDARD), rel=1e-14)
+        assert table_cdf(1) == pytest.approx(count_table(**STANDARD, top=1)[0], rel=1e-14)
 
     def test_tail_mass_is_negligible_at_one_million(self):
-        value = cdf(10**6, STANDARD)
+        value = table_cdf(10**6)
         assert value >= 0.9999
         assert abs(1.0 - value) < 1e-4
 
     def test_monotone(self):
-        values = cdf(np.arange(1, 500), STANDARD)
+        values = [table_cdf(k) for k in range(1, 500)]
         assert np.all(np.diff(values) > 0)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            cdf(0, STANDARD)
 
 
 class TestSample:
     def test_zero_draws(self):
-        counts, tail = draw(STANDARD, 0, np.random.default_rng(0))
+        counts, tail = draw(0, np.random.default_rng(0))
         assert counts.sum() == 0 and tail.size == 0
 
     def test_support(self):
         rng = np.random.default_rng(1)
-        counts, tail = draw(STANDARD, 20_000, rng)
+        counts, tail = draw(20_000, rng)
         assert counts.min() >= 0 and counts.sum() + tail.size == 20_000
         # the values above the table lie above its last value, x = top
         assert tail.size and tail.min() > counts.size
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            draw(STANDARD, -1, np.random.default_rng(0))
+            draw(-1, np.random.default_rng(0))
 
     def test_counts_beyond_float_precision_rejected(self):
         # At sigma = 20 the tail reaches past 2**53, where the float64
         # histogram axes stop being exact and the int64 cast overflows.
-        params = LognormalParams(1.0, 20.0)
-        table = count_table(params, table_top(params.mu, params.sigma))
+        table = count_table(mu=1.0, sigma=20.0, top=table_top(mu=1.0, sigma=20.0))
         with pytest.raises(ValueError, match=r"2\*\*53"):
-            sample_histograms(params, table, 1000, np.random.default_rng(1), size=4)
+            sample_histograms(mu=1.0, sigma=20.0, table=table, n=1000,
+                              rng=np.random.default_rng(1), size=4)
 
     def test_reproducible(self):
-        a = draw(STANDARD, 1000, np.random.default_rng(42))
-        b = draw(STANDARD, 1000, np.random.default_rng(42))
+        a = draw(1000, np.random.default_rng(42))
+        b = draw(1000, np.random.default_rng(42))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_chi_square_goodness_of_fit(self):
         rng = np.random.default_rng(1234)
-        stat, dof = chi_square_gof(*draw(STANDARD, 1_000_000, rng), STANDARD)
+        stat, dof = chi_square_gof(*draw(1_000_000, rng), **STANDARD)
         assert stat < sps.chi2.ppf(0.999, dof)
 
     @pytest.mark.parametrize("mu,sigma", [(0.9, 1.0), (1.1, 1.0)])
     def test_chi_square_other_parameters(self, mu, sigma):
-        params = LognormalParams(mu, sigma)
         rng = np.random.default_rng(99)
-        stat, dof = chi_square_gof(*draw(params, 200_000, rng), params)
+        stat, dof = chi_square_gof(*draw(200_000, rng, mu, sigma), mu=mu, sigma=sigma)
         assert stat < sps.chi2.ppf(0.999, dof)
 
 

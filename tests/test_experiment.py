@@ -12,7 +12,7 @@ from scipy import stats as sps
 
 from citesim import experiment
 from citesim._special import ndtri, stdtrit
-from citesim.distribution import LognormalParams, rest_of_world_location, table_top
+from citesim.distribution import rest_of_world_location, table_top
 from citesim.experiment import (
     ConfigSummary,
     FORMULA_INDICATOR_NAMES,
@@ -272,8 +272,26 @@ class TestReplicateStatistics:
             mu_overall=1.0, replicates=400,
         )
         pooled = np.concatenate([replicate_world(ps, 3, r) for r in range(ps.replicates)])
-        stat, dof = chi_square_gof(np.bincount(pooled), [], LognormalParams(1.0, 1.0))
+        stat, dof = chi_square_gof(np.bincount(pooled), [], mu=1.0, sigma=1.0)
         assert stat < sps.chi2.ppf(0.999, dof)
+
+    def test_world_tail_draws_follow_the_lognormal(self):
+        # Equal locations everywhere at sigma 3, where about 1% of the counts
+        # lie above the count table: those values are the lognormal draws
+        # beyond the table's last count, rounded to the nearest integer.
+        mu, sigma = 1.0, 3.0
+        ps = ParameterSet(mu1=mu, mu2=mu, p1=0.2, p2=0.2, n_world=500, sigma=sigma,
+                          mu_overall=mu, replicates=200)
+        blocks = list(experiment._world_blocks(ps, 3))
+        top = blocks[0][1]
+        tails = np.concatenate([tail for _, _, draws in blocks for _, tail in draws])
+        beyond = sps.norm.sf((math.log(top + 0.5) - mu) / sigma)
+        assert tails.size > 500
+
+        def rounded_cdf(x):
+            return 1.0 - sps.norm.sf((np.log(x + 0.5) - mu) / sigma) / beyond
+
+        assert sps.kstest(tails, rounded_cdf).pvalue > 1e-3
 
     def test_tiny_countries_rejected(self):
         ps = ParameterSet(mu1=0.9, mu2=1.1, p1=0.01, p2=0.2, n_world=100)
