@@ -4,8 +4,9 @@ The library needs four special functions, each at a handful of points per
 configuration, so each is a scalar stdlib evaluation mapped over an array:
 
 - `ndtr`, the standard normal CDF, is 0.5 * erfc(-z / sqrt(2)) with
-  `math.erfc`; like any erfc form its relative error grows as z^2 * eps
-  in the far lower tail, from rounding the argument.
+  `math.erfc` mapped by `map`, so no Python frame runs per element; like
+  any erfc form its relative error grows as z^2 * eps in the far lower
+  tail, from rounding the argument.
 - `ndtri`, its inverse, is `statistics.NormalDist.inv_cdf`, Wichura's
   AS 241 (Appl. Stat. 37(3), 1988).
 - `stdtrit`, the Student t quantile for an integer number of degrees of
@@ -30,8 +31,8 @@ __all__ = ["ndtr", "ndtri", "stdtrit", "kolmogorov"]
 
 EXACT_DF = 1000
 _SQRT_HALF = math.sqrt(0.5)
-_ndtr = np.frompyfunc(lambda z: 0.5 * math.erfc(-z * _SQRT_HALF), 1, 1)
-_ndtri = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+_inv_cdf = NormalDist().inv_cdf
+_ndtri = np.frompyfunc(_inv_cdf, 1, 1)
 
 
 def _floats(out):
@@ -40,12 +41,19 @@ def _floats(out):
 
 
 def ndtr(z):
-    """Standard normal CDF, elementwise."""
-    return _floats(_ndtr(z))
+    """Standard normal CDF, elementwise: a float for a scalar or a 0-d array."""
+    if isinstance(z, float):
+        return 0.5 * math.erfc(-z * _SQRT_HALF)
+    w = -np.asarray(z, dtype=np.float64) * _SQRT_HALF
+    erfc = np.fromiter(map(math.erfc, w.ravel().tolist()), np.float64, w.size)
+    out = 0.5 * erfc.reshape(w.shape)
+    return out if out.ndim else float(out)
 
 
 def ndtri(p):
     """Standard normal quantile for p in (0, 1), elementwise."""
+    if isinstance(p, float):
+        return _inv_cdf(p)
     return _floats(_ndtri(p))
 
 

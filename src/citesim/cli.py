@@ -31,6 +31,7 @@ from .experiment import (
     INDICATOR_NAMES,
     STREAM_VERSION,
     SweepReport,
+    _fmt,
     generate_grid,
     run_sweep,
     summarize,
@@ -82,7 +83,7 @@ class RunConfig:
                 "replicates: need at least 40 for 95% empirical intervals"
             )
         if self.threads < 0:
-            raise ConfigError("threads: must be >= 0 (0 selects the CPU count)")
+            raise ConfigError("threads: must be >= 0 (0 selects every CPU this process may use)")
         try:
             validate_grid(self.mu_values, self.p_values, self.n_values,
                           self.sigma, self.mu_overall)
@@ -192,20 +193,13 @@ def parse_config(argv=None) -> RunConfig:
     return config
 
 
-def _fmt(value: float) -> str:
-    if value != value:
-        return "nan"
-    value = float(value)
-    if value.is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return format(value, ".6g")
-
-
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, rows=(), text=()) -> None:
+    """A CSV file: the header, then rows, then rows already encoded as text."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
+        handle.writelines(text)
 
 
 def _table1_rows(report: SweepReport):
@@ -228,14 +222,6 @@ def _table2_rows(report: SweepReport):
                        _fmt(row.mean), _fmt(row.sd)]
 
 
-def _figure1_rows(report: SweepReport):
-    for record in report.records:
-        ps = record.params
-        config = [_fmt(ps.mu1), _fmt(ps.mu2), _fmt(ps.p1), _fmt(ps.p2), ps.n_world]
-        for name, value in zip(INDICATOR_NAMES, record.similarity.tolist()):
-            yield [*config, name, _fmt(value)]
-
-
 def emit_reports(report: SweepReport, config: RunConfig, outdir: Path) -> dict:
     """Write every sweep artifact; returns {artifact: path}."""
     outdir = Path(outdir)
@@ -247,12 +233,12 @@ def emit_reports(report: SweepReport, config: RunConfig, outdir: Path) -> dict:
                    _table1_rows(report))
         _write_csv(written["table2"], ["indicator", "limit_side", "N", "min", "max", "mean", "sd"],
                    _table2_rows(report))
+        # Each record's lines were encoded where it ran (ConfigSummary.encoded).
+        encoded = [record.encoded for record in report.records]
         _write_csv(written["figure1"], ["mu1", "mu2", "p1", "p2", "N", "indicator", "similarity"],
-                   _figure1_rows(report))
+                   text=[rows for _, rows in encoded])
         with open(written["records"], "w") as handle:
-            for record in report.records:
-                handle.write(json.dumps(record.to_dict(), separators=(",", ":")))
-                handle.write("\n")
+            handle.writelines(line for line, _ in encoded)
         written["manifest"] = _write_manifest(outdir, {
             **_run_inputs(config),
             "mu_values": list(config.mu_values),

@@ -29,7 +29,7 @@ TABLE_TAIL_MASS = 1e-4
 MAX_TABLE_TOP = 4096
 
 
-def _upper_tail(x, mu: float, sigma: float):
+def _upper_tail(x, mu, sigma: float):
     """Lognormal mass above x over the mass above 0.5, from upper-tail normal
     probabilities ndtr(-z), which keep their relative precision far into the tail."""
     return ndtr((mu - np.log(x)) / sigma) / ndtr((mu - _LOG_HALF) / sigma)
@@ -42,10 +42,14 @@ def table_top(mu: float, sigma: float) -> int:
     return int(min(max(math.ceil(math.exp(mu + sigma * z) - 0.5), 1), MAX_TABLE_TOP))
 
 
-def count_table(mu: float, sigma: float, top: int) -> np.ndarray:
-    """Multinomial cell probabilities P(x = 1), ..., P(x = top), P(x > top)."""
-    upper = _upper_tail(np.arange(0.5, top + 1.0), mu, sigma)
-    return np.append(upper[:-1] - upper[1:], upper[-1])
+def count_table(mu, sigma: float, top: int) -> np.ndarray:
+    """Multinomial cell probabilities P(x = 1), ..., P(x = top), P(x > top).
+
+    An array of locations mu gives one table per location, on a new last axis.
+    """
+    upper = _upper_tail(np.arange(0.5, top + 1.0), np.asarray(mu, dtype=np.float64)[..., None],
+                        sigma)
+    return np.concatenate((upper[..., :-1] - upper[..., 1:], upper[..., -1:]), axis=-1)
 
 
 def sample_histograms(mu: float, sigma: float, table: np.ndarray, n: int,

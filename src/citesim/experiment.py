@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import logging
 import math
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -169,7 +171,16 @@ class ReplicateStats:
         return self.values[:, 5]
 
 
-_SUMMARY_ARRAYS = ("mean", "empirical", "model", "formula", "discrepancy", "similarity")
+# The summary's arrays and their shapes, in the order of the packed buffer
+# a summary crosses processes as.
+_SUMMARY_ARRAYS = {
+    "mean": (2, len(INDICATOR_NAMES)),
+    "empirical": (2, len(INDICATOR_NAMES), 2),
+    "model": (2, len(FORMULA_INDICATOR_NAMES), 2),
+    "formula": (2, len(FORMULA_INDICATOR_NAMES), 2),
+    "discrepancy": (2, len(FORMULA_INDICATOR_NAMES), 2),
+    "similarity": (len(INDICATOR_NAMES),),
+}
 _FORMULA_INDEX = {name: k for k, name in enumerate(FORMULA_INDICATOR_NAMES)}
 
 
@@ -205,8 +216,26 @@ class ConfigSummary:
             getattr(self, name).flags.writeable = False
 
     def __reduce__(self):
-        # Through __init__, so an unpickled summary's arrays are read-only too.
-        return ConfigSummary, (self.params, *(getattr(self, n) for n in _SUMMARY_ARRAYS))
+        # Through _unpack_summary, so an unpickled summary's arrays are read-only too.
+        return _unpack_summary, (self.params, self.packed(), self.__dict__.get("encoded"))
+
+    def packed(self) -> bytes:
+        """The float64 arrays, in _SUMMARY_ARRAYS order, as one buffer."""
+        return b"".join([getattr(self, name).tobytes() for name in _SUMMARY_ARRAYS])
+
+    @cached_property
+    def encoded(self) -> tuple[str, str]:
+        """The configuration's records.jsonl line and figure1.csv rows, as text.
+
+        A sweep worker encodes them, so they cross processes with the
+        summary and the parent only writes them.  No figure1 field holds a
+        comma, quote or line break, so the rows are csv.writer's bytes.
+        """
+        ps = self.params
+        config = ",".join([_fmt(ps.mu1), _fmt(ps.mu2), _fmt(ps.p1), _fmt(ps.p2), str(ps.n_world)])
+        rows = "".join([f"{config},{name},{_fmt(value)}\r\n"
+                        for name, value in zip(INDICATOR_NAMES, self.similarity.tolist())])
+        return json.dumps(self.to_dict(), separators=(",", ":")) + "\n", rows
 
     def to_dict(self) -> dict:
         ps = self.params
@@ -245,8 +274,33 @@ class ConfigSummary:
         }
 
 
+def _unpack_summary(params: ParameterSet, packed: bytes, encoded=None) -> ConfigSummary:
+    """A ConfigSummary from ConfigSummary.packed(), with its encoded text if
+    given; its arrays are read-only views of the buffer."""
+    flat, start, arrays = np.frombuffer(packed), 0, []
+    for shape in _SUMMARY_ARRAYS.values():
+        size = math.prod(shape)
+        arrays.append(flat[start:start + size].reshape(shape))
+        start += size
+    summary = ConfigSummary(params, *arrays)
+    if encoded is not None:
+        summary.__dict__["encoded"] = encoded
+    return summary
+
+
 def _nan_to_none(value: float):
     return None if value != value else value
+
+
+def _fmt(value: float) -> str:
+    """A number as the CSV artifacts write it: integers without a point,
+    anything else to six significant digits."""
+    if value != value:
+        return "nan"
+    value = float(value)
+    if value.is_integer() and abs(value) < 1e15:
+        return str(int(value))
+    return format(value, ".6g")
 
 
 def derive_seed(master_seed: int, config_index: int) -> int:
@@ -339,20 +393,59 @@ def total_draws(param_sets) -> int:
     return sum(ps.replicates * ps.n_world for ps in param_sets)
 
 
-def _world_blocks(ps: ParameterSet, master_seed: int):
-    """Yield (start, table_end, draws) for each block of REPLICATE_BLOCK
-    replicates from the configuration's one stream: draws holds the
-    sample_histograms (hist, tail) of country 1, country 2 and the rest."""
+class _Tables:
+    """One location set's count tables and the reduction's columns.
+
+    tables holds the read-only count tables of country 1, country 2 and the
+    rest, at locations and scale sigma, as rows that end at table_end;
+    columns (table_end + 1, 3) holds c, ln(1 + c) and ln^2(1 + c) per cell,
+    0 in the lumped cell.
+    """
+
+    def __init__(self, locations: tuple, sigma: float, table_end: int, tables) -> None:
+        self.locations, self.sigma = locations, sigma
+        self.table_end, self.tables = table_end, tables
+        c = np.arange(table_end + 1.0)
+        c[-1] = 0.0
+        logs = np.log1p(c)
+        self.columns = np.stack((c, logs, logs * logs), axis=-1)
+        self.columns.flags.writeable = False
+
+
+# The last location set's tables, in this process.  run_config's callers
+# pass nothing between configurations, so the one set kept lives here; the
+# results never depend on it (tables are a function of the set).
+_last_tables: _Tables | None = None
+
+
+def _count_tables(ps: ParameterSet) -> _Tables:
+    """ps's count tables.  A configuration that shares its location set with
+    the one before it reuses that one's tables: N is the grid's innermost
+    axis, so keeping only the last set serves every world size of a set."""
+    global _last_tables
     locations = (ps.mu1, ps.mu2,
                  rest_of_world_location(ps.mu_overall, ps.mu1, ps.mu2, ps.p1, ps.p2))
-    table_end = table_top(max(locations), ps.sigma)
-    tables = [count_table(mu=mu, sigma=ps.sigma, top=table_end) for mu in locations]
+    last = _last_tables
+    if last is None or (last.locations, last.sigma) != (locations, ps.sigma):
+        table_end = table_top(max(locations), ps.sigma)
+        tables = count_table(mu=locations, sigma=ps.sigma, top=table_end)
+        tables.flags.writeable = False
+        last = _last_tables = _Tables(locations, ps.sigma, table_end, tuple(tables))
+    return last
+
+
+def _world_blocks(ps: ParameterSet, master_seed: int):
+    """Yield (start, tables, draws) for each block of REPLICATE_BLOCK
+    replicates from the configuration's one stream: tables is ps's
+    _count_tables, and draws holds the sample_histograms (hist, tail) of
+    country 1, country 2 and the rest."""
+    tables = _count_tables(ps)
     rng = np.random.default_rng(derive_seed(master_seed, ps.config_index))
+    groups = list(zip(tables.locations, tables.tables, ps.country_sizes()))
     for start in range(0, ps.replicates, REPLICATE_BLOCK):
         size = min(REPLICATE_BLOCK, ps.replicates - start)
-        yield start, table_end, [
-            sample_histograms(mu=mu, sigma=ps.sigma, table=table, n=n, rng=rng, size=size)
-            for mu, table, n in zip(locations, tables, ps.country_sizes())]
+        yield start, tables, [sample_histograms(mu=mu, sigma=ps.sigma, table=table, n=n,
+                                                rng=rng, size=size) for mu, table, n in groups]
 
 
 def _value_axis(table_end: int, draws) -> np.ndarray:
@@ -400,12 +493,8 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
     shares = np.array(TOP_SHARES)[:, None]  # broadcasts against the replicates
     values = np.empty((2, len(REPLICATE_STATISTICS), ps.replicates))
 
-    for start, table_end, draws in _world_blocks(ps, master_seed):
-        if not start:  # one table per configuration, so one set of columns
-            c = np.arange(table_end + 1.0)
-            c[-1] = 0.0
-            logs = np.log1p(c)
-            columns = np.stack((c, logs, logs * logs), axis=-1)
+    for start, tables, draws in _world_blocks(ps, master_seed):
+        table_end = tables.table_end
         (h1, tail1), (h2, tail2), (h0, _) = draws
         blocks = h1.shape[0]
         block = slice(start, start + blocks)
@@ -416,7 +505,7 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
             _, _, credits = tie_credit(hists[0], shares, hists[1:3])
         values[:, 2:5, block] = credits / sizes[:, :, None]
 
-        sums = countries @ columns
+        sums = countries @ tables.columns
         tails = np.concatenate((tail1, tail2)) - 1.0
         if tails.size:
             rows = np.repeat(np.arange(2 * blocks), countries[:, table_end])
@@ -467,10 +556,12 @@ def run_config(ps: ParameterSet, master_seed: int) -> ConfigSummary:
                          limit_discrepancies(model, formula), similarity)
 
 
-def _run_config_task(args) -> ConfigSummary:
+def _run_config_task(args) -> tuple[bytes, tuple[str, str]]:
+    """One configuration's packed summary and its encoded artifact text."""
     ps, master_seed = args
     try:
-        return run_config(ps, master_seed)
+        summary = run_config(ps, master_seed)
+        return summary.packed(), summary.encoded
     except Exception as exc:
         # Pool workers lose the caller's context; name the configuration.
         raise RuntimeError(
@@ -482,13 +573,17 @@ def _run_config_task(args) -> ConfigSummary:
 def run_sweep(param_sets, master_seed: int, processes: int = 1) -> list[ConfigSummary]:
     """Run every configuration and return summaries in input order.
 
-    processes <= 0 selects the CPU count.  Results are byte-identical for
-    any process count: each configuration is an isolated work unit seeded
-    from (master_seed, config_index) and the fold order is fixed.
+    processes <= 0 selects the number of CPUs this process may run on.
+    Results are byte-identical for any process count: each configuration
+    is an isolated work unit seeded from (master_seed, config_index) and
+    the fold order is fixed.  A worker returns each summary as its packed
+    buffer and its encoded artifact text (ConfigSummary.encoded), and the
+    summary is rebuilt here around the caller's own ParameterSet.
     """
     param_sets = list(param_sets)
     if processes <= 0:
-        processes = os.cpu_count() or 1
+        processes = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
     processes = min(processes, max(len(param_sets), 1))
     tasks = [(ps, master_seed) for ps in param_sets]
     step = max(len(tasks) // 20, 1)
@@ -497,10 +592,10 @@ def run_sweep(param_sets, master_seed: int, processes: int = 1) -> list[ConfigSu
     started = time.monotonic()
     with (multiprocessing.get_context().Pool(processes) if processes > 1
           else contextlib.nullcontext()) as pool:
-        summaries = (pool.imap(_run_config_task, tasks, chunksize=chunksize) if pool
-                     else map(_run_config_task, tasks))
-        for done, summary in enumerate(summaries, start=1):
-            results.append(summary)
+        outcomes = (pool.imap(_run_config_task, tasks, chunksize=chunksize) if pool
+                    else map(_run_config_task, tasks))
+        for done, (ps, (packed, encoded)) in enumerate(zip(param_sets, outcomes), start=1):
+            results.append(_unpack_summary(ps, packed, encoded))
             if done % step == 0 or done == len(tasks):
                 rate = done / max(time.monotonic() - started, 1e-9)
                 log.info("completed %d/%d configurations (%.1f configs/s, ETA %.0f s)",

@@ -28,8 +28,10 @@ __all__ = [
     "limit_discrepancies",
 ]
 
-# Upper quantile of a two-sided 95% interval: 1 - (1 - 0.95) / 2, exactly.
+# Upper quantile of a two-sided 95% interval: 1 - (1 - 0.95) / 2, exactly,
+# and the normal quantile there.
 _UPPER_QUANTILE = 0.975
+_Z_UPPER = ndtri(_UPPER_QUANTILE)
 # Signs of the (lower, upper) limits around a centre: centre - half is
 # computed exactly as centre + (-1.0 * half).
 _SIDES = np.array([-1.0, 1.0])
@@ -78,7 +80,7 @@ def proportion_limits(p, n) -> np.ndarray:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if np.asarray(n).min() < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    half = ndtri(_UPPER_QUANTILE) * np.sqrt(p * (1.0 - p) / n)
+    half = _Z_UPPER * np.sqrt(p * (1.0 - p) / n)
     return _centred(p, half)
 
 
@@ -124,6 +126,7 @@ def limit_discrepancies(model, formula) -> np.ndarray:
     """
     model = np.asarray(model, dtype=np.float64)
     width = model[..., 1:] - model[..., :1]
-    formula = np.asarray(formula, dtype=np.float64)
-    diff = np.stack([model[..., 0] - formula[..., 0], formula[..., 1] - model[..., 1]], axis=-1)
+    # (-formula.lower) - (-model.lower) is model.lower - formula.lower, bit
+    # for bit and zero signs included.
+    diff = formula * _SIDES - model * _SIDES
     return np.divide(diff, width, out=np.full(diff.shape, np.nan), where=width > 0.0)

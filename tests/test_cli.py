@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import logging
 import platform
@@ -25,7 +26,9 @@ from citesim.experiment import (
     SweepReport,
     Table1Cell,
     Table2Row,
+    _fmt,
     generate_grid,
+    run_config,
 )
 
 ALL_N = (500, 1000, 5000, 10000, 50000)
@@ -278,6 +281,28 @@ class TestModes:
         assert set(records[0]["similarity"]) == set(INDICATOR_NAMES)
         figure = read_csv(tmp_path / "figure1.csv")
         assert len(figure) - 1 == 5
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_records_and_figure_rows_are_the_summaries_encoded(self, threads, tmp_path):
+        # Workers encode the artifact lines; they must be exactly what the
+        # one encoder of each file makes of run_config's summary here.
+        args = ["sweep", "--mu-values", "0.9", "1.0", "1.1", "--p-values", "0.1", "0.2",
+                "--n-values", "100", "200", "--replicates", "40", "--seed", "4",
+                "--threads", threads, "--out", str(tmp_path)]
+        assert main(args) == 0
+        summaries = [run_config(ps, master_seed=4) for ps in generate_grid(
+            mu_values=(0.9, 1.0, 1.1), p_values=(0.1, 0.2), n_values=(100, 200), replicates=40)]
+        assert (tmp_path / "records.jsonl").read_text().splitlines() == [
+            json.dumps(s.to_dict(), separators=(",", ":")) for s in summaries]
+        figure = io.StringIO()
+        writer = csv.writer(figure)
+        writer.writerow(["mu1", "mu2", "p1", "p2", "N", "indicator", "similarity"])
+        for s in summaries:
+            ps = s.params
+            writer.writerows([_fmt(ps.mu1), _fmt(ps.mu2), _fmt(ps.p1), _fmt(ps.p2), ps.n_world,
+                              name, _fmt(value)]
+                             for name, value in zip(INDICATOR_NAMES, s.similarity.tolist()))
+        assert (tmp_path / "figure1.csv").read_bytes() == figure.getvalue().encode()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["sweep", "--mu-values", "0.9", "1.0", "--p-values", "0.1", "0.2",

@@ -43,6 +43,22 @@ class TestNdtr:
         out = ndtr(np.zeros((2, 3)))
         assert out.dtype == np.float64 and out.shape == (2, 3)
 
+    def test_is_the_scalar_erfc_form_bit_for_bit(self):
+        # Count tables and the tail draws depend on every bit of ndtr, so it
+        # must stay 0.5 * erfc(-z * sqrt(0.5)) evaluated one float at a time.
+        z = np.concatenate([np.linspace(-40.0, 10.0, 50_001), [0.0, -0.0, np.inf, -np.inf],
+                            np.random.default_rng(5).normal(0.0, 10.0, 5_000)])
+        want = np.array([0.5 * math.erfc(-v * math.sqrt(0.5)) for v in z.tolist()])
+        assert ndtr(z).view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert ndtr(z[:-1].reshape(2, -1)).view(np.int64).tolist() == \
+            want[:-1].reshape(2, -1).view(np.int64).tolist()
+        picks = np.r_[0:z.size:97, 50_001:50_005]  # every 97th point, and the +-0, +-inf
+        for v, w in zip(z[picks].tolist(), want[picks].tolist()):
+            for arg in (v, np.float64(v), np.array(v)):
+                got = ndtr(arg)
+                assert isinstance(got, float)
+                assert np.float64(got).view(np.int64) == np.float64(w).view(np.int64)
+
 
 class TestNdtri:
     P = np.concatenate([np.logspace(-300, -1, 3000), np.linspace(0.1, 0.9, 801),
