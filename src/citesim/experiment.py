@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -556,18 +557,28 @@ def run_config(ps: ParameterSet, master_seed: int) -> ConfigSummary:
                          limit_discrepancies(model, formula), similarity)
 
 
-def _run_config_task(args) -> tuple[bytes, tuple[str, str]]:
-    """One configuration's packed summary and its encoded artifact text."""
-    ps, master_seed = args
-    try:
-        summary = run_config(ps, master_seed)
-        return summary.packed(), summary.encoded
-    except Exception as exc:
-        # Pool workers lose the caller's context; name the configuration.
-        raise RuntimeError(
-            f"config {ps.config_index} (mu1={ps.mu1:g} mu2={ps.mu2:g} p1={ps.p1:g} "
-            f"p2={ps.p2:g} N={ps.n_world}): {exc}"
-        ) from exc
+# Most configurations one work unit runs before it encodes their text.
+# Encoding a run of summaries after their sampling, rather than each one as
+# it is made, measured about a quarter cheaper on many-configs; the bound
+# keeps the progress line steady and the summaries held small.
+ENCODE_RUN = 64
+
+
+def _run_configs(args) -> list[tuple[bytes, tuple[str, str]]]:
+    """Run a list of configurations, then encode them: each one's packed
+    summary and its artifact text (ConfigSummary.encoded), in order."""
+    param_sets, master_seed = args
+    summaries = []
+    for ps in param_sets:
+        try:
+            summaries.append(run_config(ps, master_seed))
+        except Exception as exc:
+            # Pool workers lose the caller's context; name the configuration.
+            raise RuntimeError(
+                f"config {ps.config_index} (mu1={ps.mu1:g} mu2={ps.mu2:g} p1={ps.p1:g} "
+                f"p2={ps.p2:g} N={ps.n_world}): {exc}"
+            ) from exc
+    return [(summary.packed(), summary.encoded) for summary in summaries]
 
 
 def run_sweep(param_sets, master_seed: int, processes: int = 1) -> list[ConfigSummary]:
@@ -576,30 +587,32 @@ def run_sweep(param_sets, master_seed: int, processes: int = 1) -> list[ConfigSu
     processes <= 0 selects the number of CPUs this process may run on.
     Results are byte-identical for any process count: each configuration
     is an isolated work unit seeded from (master_seed, config_index) and
-    the fold order is fixed.  A worker returns each summary as its packed
-    buffer and its encoded artifact text (ConfigSummary.encoded), and the
-    summary is rebuilt here around the caller's own ParameterSet.
+    the fold order is fixed.  Configurations go to the workers in runs of
+    at most ENCODE_RUN; a worker returns each summary as its packed buffer
+    and its encoded artifact text, and the summary is rebuilt here around
+    the caller's own ParameterSet.
     """
     param_sets = list(param_sets)
     if processes <= 0:
         processes = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
     processes = min(processes, max(len(param_sets), 1))
-    tasks = [(ps, master_seed) for ps in param_sets]
-    step = max(len(tasks) // 20, 1)
-    chunksize = max(len(tasks) // (processes * 8), 1)
+    run = max(min(len(param_sets) // (processes * 8), ENCODE_RUN), 1)
+    tasks = [(param_sets[i:i + run], master_seed) for i in range(0, len(param_sets), run)]
+    total = len(param_sets)
+    step = max(total // 20, 1)
     results = []
     started = time.monotonic()
     with (multiprocessing.get_context().Pool(processes) if processes > 1
           else contextlib.nullcontext()) as pool:
-        outcomes = (pool.imap(_run_config_task, tasks, chunksize=chunksize) if pool
-                    else map(_run_config_task, tasks))
+        outcomes = itertools.chain.from_iterable(
+            pool.imap(_run_configs, tasks) if pool else map(_run_configs, tasks))
         for done, (ps, (packed, encoded)) in enumerate(zip(param_sets, outcomes), start=1):
             results.append(_unpack_summary(ps, packed, encoded))
-            if done % step == 0 or done == len(tasks):
+            if done % step == 0 or done == total:
                 rate = done / max(time.monotonic() - started, 1e-9)
                 log.info("completed %d/%d configurations (%.1f configs/s, ETA %.0f s)",
-                         done, len(tasks), rate, (len(tasks) - done) / rate)
+                         done, total, rate, (total - done) / rate)
     return results
 
 
