@@ -31,8 +31,7 @@ __all__ = ["ndtr", "ndtri", "stdtrit", "kolmogorov"]
 
 EXACT_DF = 1000
 _SQRT_HALF = math.sqrt(0.5)
-_inv_cdf = NormalDist().inv_cdf
-_ndtri = np.frompyfunc(_inv_cdf, 1, 1)
+_ndtri = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 def _floats(out):
@@ -42,8 +41,6 @@ def _floats(out):
 
 def ndtr(z):
     """Standard normal CDF, elementwise: a float for a scalar or a 0-d array."""
-    if isinstance(z, float):
-        return 0.5 * math.erfc(-z * _SQRT_HALF)
     w = -np.asarray(z, dtype=np.float64) * _SQRT_HALF
     erfc = np.fromiter(map(math.erfc, w.ravel().tolist()), np.float64, w.size)
     out = 0.5 * erfc.reshape(w.shape)
@@ -52,8 +49,6 @@ def ndtr(z):
 
 def ndtri(p):
     """Standard normal quantile for p in (0, 1), elementwise."""
-    if isinstance(p, float):
-        return _inv_cdf(p)
     return _floats(_ndtri(p))
 
 

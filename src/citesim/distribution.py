@@ -45,7 +45,8 @@ def table_top(mu: float, sigma: float) -> int:
 def count_table(mu, sigma: float, top: int) -> np.ndarray:
     """Multinomial cell probabilities P(x = 1), ..., P(x = top), P(x > top).
 
-    An array of locations mu gives one table per location, on a new last axis.
+    An array of locations mu gives one table per location: mu's axes lead,
+    the cells are the last axis.
     """
     upper = _upper_tail(np.arange(0.5, top + 1.0), np.asarray(mu, dtype=np.float64)[..., None],
                         sigma)

@@ -394,59 +394,20 @@ def total_draws(param_sets) -> int:
     return sum(ps.replicates * ps.n_world for ps in param_sets)
 
 
-class _Tables:
-    """One location set's count tables and the reduction's columns.
-
-    tables holds the read-only count tables of country 1, country 2 and the
-    rest, at locations and scale sigma, as rows that end at table_end;
-    columns (table_end + 1, 3) holds c, ln(1 + c) and ln^2(1 + c) per cell,
-    0 in the lumped cell.
-    """
-
-    def __init__(self, locations: tuple, sigma: float, table_end: int, tables) -> None:
-        self.locations, self.sigma = locations, sigma
-        self.table_end, self.tables = table_end, tables
-        c = np.arange(table_end + 1.0)
-        c[-1] = 0.0
-        logs = np.log1p(c)
-        self.columns = np.stack((c, logs, logs * logs), axis=-1)
-        self.columns.flags.writeable = False
-
-
-# The last location set's tables, in this process.  run_config's callers
-# pass nothing between configurations, so the one set kept lives here; the
-# results never depend on it (tables are a function of the set).
-_last_tables: _Tables | None = None
-
-
-def _count_tables(ps: ParameterSet) -> _Tables:
-    """ps's count tables.  A configuration that shares its location set with
-    the one before it reuses that one's tables: N is the grid's innermost
-    axis, so keeping only the last set serves every world size of a set."""
-    global _last_tables
+def _world_blocks(ps: ParameterSet, master_seed: int):
+    """Yield (start, table_end, draws) for each block of REPLICATE_BLOCK
+    replicates from the configuration's one stream: draws holds the
+    sample_histograms (hist, tail) of country 1, country 2 and the rest."""
     locations = (ps.mu1, ps.mu2,
                  rest_of_world_location(ps.mu_overall, ps.mu1, ps.mu2, ps.p1, ps.p2))
-    last = _last_tables
-    if last is None or (last.locations, last.sigma) != (locations, ps.sigma):
-        table_end = table_top(max(locations), ps.sigma)
-        tables = count_table(mu=locations, sigma=ps.sigma, top=table_end)
-        tables.flags.writeable = False
-        last = _last_tables = _Tables(locations, ps.sigma, table_end, tuple(tables))
-    return last
-
-
-def _world_blocks(ps: ParameterSet, master_seed: int):
-    """Yield (start, tables, draws) for each block of REPLICATE_BLOCK
-    replicates from the configuration's one stream: tables is ps's
-    _count_tables, and draws holds the sample_histograms (hist, tail) of
-    country 1, country 2 and the rest."""
-    tables = _count_tables(ps)
+    table_end = table_top(max(locations), ps.sigma)
+    tables = count_table(mu=locations, sigma=ps.sigma, top=table_end)
+    groups = list(zip(locations, tables, ps.country_sizes()))
     rng = np.random.default_rng(derive_seed(master_seed, ps.config_index))
-    groups = list(zip(tables.locations, tables.tables, ps.country_sizes()))
     for start in range(0, ps.replicates, REPLICATE_BLOCK):
         size = min(REPLICATE_BLOCK, ps.replicates - start)
-        yield start, tables, [sample_histograms(mu=mu, sigma=ps.sigma, table=table, n=n,
-                                                rng=rng, size=size) for mu, table, n in groups]
+        yield start, table_end, [sample_histograms(mu=mu, sigma=ps.sigma, table=table, n=n,
+                                                   rng=rng, size=size) for mu, table, n in groups]
 
 
 def _value_axis(table_end: int, draws) -> np.ndarray:
@@ -494,8 +455,12 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
     shares = np.array(TOP_SHARES)[:, None]  # broadcasts against the replicates
     values = np.empty((2, len(REPLICATE_STATISTICS), ps.replicates))
 
-    for start, tables, draws in _world_blocks(ps, master_seed):
-        table_end = tables.table_end
+    for start, table_end, draws in _world_blocks(ps, master_seed):
+        if not start:  # one table per configuration, so one set of columns
+            c = np.arange(table_end + 1.0)
+            c[-1] = 0.0
+            logs = np.log1p(c)
+            columns = np.stack((c, logs, logs * logs), axis=-1)
         (h1, tail1), (h2, tail2), (h0, _) = draws
         blocks = h1.shape[0]
         block = slice(start, start + blocks)
@@ -506,7 +471,7 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
             _, _, credits = tie_credit(hists[0], shares, hists[1:3])
         values[:, 2:5, block] = credits / sizes[:, :, None]
 
-        sums = countries @ tables.columns
+        sums = countries @ columns
         tails = np.concatenate((tail1, tail2)) - 1.0
         if tails.size:
             rows = np.repeat(np.arange(2 * blocks), countries[:, table_end])
@@ -557,16 +522,9 @@ def run_config(ps: ParameterSet, master_seed: int) -> ConfigSummary:
                          limit_discrepancies(model, formula), similarity)
 
 
-# Most configurations one work unit runs before it encodes their text.
-# Encoding a run of summaries after their sampling, rather than each one as
-# it is made, measured about a quarter cheaper on many-configs; the bound
-# keeps the progress line steady and the summaries held small.
-ENCODE_RUN = 64
-
-
-def _run_configs(args) -> list[tuple[bytes, tuple[str, str]]]:
-    """Run a list of configurations, then encode them: each one's packed
-    summary and its artifact text (ConfigSummary.encoded), in order."""
+def _run_configs(args) -> list[ConfigSummary]:
+    """Run a list of configurations, then encode them: the summaries in
+    order, each with its artifact text (ConfigSummary.encoded) filled in."""
     param_sets, master_seed = args
     summaries = []
     for ps in param_sets:
@@ -578,7 +536,9 @@ def _run_configs(args) -> list[tuple[bytes, tuple[str, str]]]:
                 f"config {ps.config_index} (mu1={ps.mu1:g} mu2={ps.mu2:g} p1={ps.p1:g} "
                 f"p2={ps.p2:g} N={ps.n_world}): {exc}"
             ) from exc
-    return [(summary.packed(), summary.encoded) for summary in summaries]
+    for summary in summaries:
+        summary.encoded  # cached on the summary, so it pickles with it
+    return summaries
 
 
 def run_sweep(param_sets, master_seed: int, processes: int = 1) -> list[ConfigSummary]:
@@ -587,17 +547,16 @@ def run_sweep(param_sets, master_seed: int, processes: int = 1) -> list[ConfigSu
     processes <= 0 selects the number of CPUs this process may run on.
     Results are byte-identical for any process count: each configuration
     is an isolated work unit seeded from (master_seed, config_index) and
-    the fold order is fixed.  Configurations go to the workers in runs of
-    at most ENCODE_RUN; a worker returns each summary as its packed buffer
-    and its encoded artifact text, and the summary is rebuilt here around
-    the caller's own ParameterSet.
+    the fold order is fixed.  A worker takes the configurations a few
+    dozen at a time, runs them, then encodes their artifact text, which
+    comes back with the summaries.
     """
     param_sets = list(param_sets)
     if processes <= 0:
         processes = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
     processes = min(processes, max(len(param_sets), 1))
-    run = max(min(len(param_sets) // (processes * 8), ENCODE_RUN), 1)
+    run = max(len(param_sets) // (processes * 8), 1)
     tasks = [(param_sets[i:i + run], master_seed) for i in range(0, len(param_sets), run)]
     total = len(param_sets)
     step = max(total // 20, 1)
@@ -605,10 +564,10 @@ def run_sweep(param_sets, master_seed: int, processes: int = 1) -> list[ConfigSu
     started = time.monotonic()
     with (multiprocessing.get_context().Pool(processes) if processes > 1
           else contextlib.nullcontext()) as pool:
-        outcomes = itertools.chain.from_iterable(
+        summaries = itertools.chain.from_iterable(
             pool.imap(_run_configs, tasks) if pool else map(_run_configs, tasks))
-        for done, (ps, (packed, encoded)) in enumerate(zip(param_sets, outcomes), start=1):
-            results.append(_unpack_summary(ps, packed, encoded))
+        for done, summary in enumerate(summaries, start=1):
+            results.append(summary)
             if done % step == 0 or done == total:
                 rate = done / max(time.monotonic() - started, 1e-9)
                 log.info("completed %d/%d configurations (%.1f configs/s, ETA %.0f s)",

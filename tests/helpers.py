@@ -143,8 +143,8 @@ def replicate_world(ps, master_seed, replicate_index):
     """
     if not 0 <= replicate_index < ps.replicates:
         raise ValueError(f"replicate_index must lie in [0, {ps.replicates})")
-    for start, tables, draws in _world_blocks(ps, master_seed):
-        top, row = tables.table_end, replicate_index - start
+    for start, top, draws in _world_blocks(ps, master_seed):
+        row = replicate_index - start
         if row < draws[0][0].shape[0]:
             groups = []
             for hist, tail in draws:

@@ -208,8 +208,7 @@ class TestReplicateStatistics:
         # the ln(1 + c) sums only to rounding, being summed in another order.
         stats = replicate_statistics(ps, master_seed=7)
         sizes = np.array([[stats.n1], [stats.n2]])
-        for start, tables, draws in experiment._world_blocks(ps, 7):
-            table_end = tables.table_end
+        for start, table_end, draws in experiment._world_blocks(ps, 7):
             hists = experiment._value_axis(table_end, draws)
             tails = np.concatenate([tail for _, tail in draws]) - 1
             axis = np.concatenate([np.arange(table_end), np.unique(tails)]).astype(np.float64)
@@ -247,8 +246,7 @@ class TestReplicateStatistics:
         draws = [(np.array([[10, 10, 10, 10 - lumped, lumped]]), np.array(country1_tail)),
                  (np.array([[5, 5, 5, 4, 1]]), np.array([41])),
                  (np.array([[35, 35, 35, 35, 0]]), np.empty(0, dtype=np.int64))]
-        tables = experiment._Tables(locations=(), sigma=1.0, table_end=4, tables=())
-        monkeypatch.setattr(experiment, "_world_blocks", lambda *args: iter([(0, tables, draws)]))
+        monkeypatch.setattr(experiment, "_world_blocks", lambda *args: iter([(0, 4, draws)]))
         exact_blocks = []
         value_axis = experiment._value_axis
         monkeypatch.setattr(experiment, "_value_axis",
@@ -287,7 +285,7 @@ class TestReplicateStatistics:
         ps = ParameterSet(mu1=mu, mu2=mu, p1=0.2, p2=0.2, n_world=500, sigma=sigma,
                           mu_overall=mu, replicates=200)
         blocks = list(experiment._world_blocks(ps, 3))
-        top = blocks[0][1].table_end
+        top = blocks[0][1]
         tails = np.concatenate([tail for _, _, draws in blocks for _, tail in draws])
         beyond = sps.norm.sf((math.log(top + 0.5) - mu) / sigma)
         assert tails.size > 500
@@ -425,34 +423,19 @@ def assert_same_summary(got, want):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
-class TestCountTableReuse:
+class TestRunOrder:
     BASE = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=200, replicates=40,
                         config_index=5)
 
-    def test_results_do_not_depend_on_the_configuration_before(self, monkeypatch):
-        def fresh(ps):
-            monkeypatch.setattr(experiment, "_last_tables", None)
-            return run_config(ps, master_seed=7)
-
+    def test_results_do_not_depend_on_the_configuration_before(self):
+        want = run_config(self.BASE, master_seed=7)
         same_set = dataclasses.replace(self.BASE, n_world=100, config_index=4)
         # Same country locations, so only the rest of the world's one moves.
         other_shares = dataclasses.replace(self.BASE, p1=0.1, p2=0.2, config_index=3)
         other_sigma = dataclasses.replace(self.BASE, sigma=1.5, config_index=2)
-        for before, ps in ((same_set, self.BASE), (self.BASE, other_shares),
-                           (self.BASE, other_sigma), (other_sigma, self.BASE)):
-            want = fresh(ps)
-            fresh(before)  # before's tables are the last set
-            assert_same_summary(run_config(ps, master_seed=7), want)
-
-    def test_only_the_last_location_set_is_kept_and_it_is_read_only(self):
-        tables = experiment._count_tables(self.BASE)
-        assert experiment._count_tables(dataclasses.replace(self.BASE, n_world=100)) is tables
-        other = experiment._count_tables(dataclasses.replace(self.BASE, p1=0.1))
-        assert other is not tables and experiment._count_tables(self.BASE) is not tables
-        for array in (*tables.tables, tables.columns):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        for before in (same_set, other_shares, other_sigma):
+            run_config(before, master_seed=7)
+            assert_same_summary(run_config(self.BASE, master_seed=7), want)
 
 
 class TestSweep:
@@ -466,13 +449,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_summaries_come_back_as_run_config_makes_them(self, processes):
-        # Workers send a packed buffer and the encoded text; the summary
-        # rebuilt from them equals the one run_config returns.
-        grid = generate_grid(mu_values=(0.9, 1.0, 1.1), p_values=(0.1, 0.2), n_values=(100, 200),
-                             replicates=40)
+        # A summary comes back from its worker as a packed buffer with its
+        # encoded text, and equals the one run_config returns here.  36
+        # configurations give two processes runs of two.
+        grid = generate_grid(mu_values=(0.9, 1.0, 1.1), p_values=(0.1, 0.2),
+                             n_values=(100, 150, 200), replicates=40)
         for summary, ps in zip(run_sweep(grid, master_seed=3, processes=processes), grid):
             want = run_config(ps, master_seed=3)
-            assert summary.params is ps
+            assert summary.params == ps
+            assert "encoded" in vars(summary)  # encoded by the worker
             assert_same_summary(summary, want)
             assert summary.encoded == want.encoded
 
