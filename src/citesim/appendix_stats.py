@@ -206,9 +206,7 @@ def appendix_demo(sigma: float = 1.0, mu_overall: float = 1.0, replicates: int =
         mu_overall=mu_overall,
         replicates=replicates,
     )
-    stats = replicate_statistics(ps, seed)
-    share1 = stats.top[0, 0]
-    share2 = stats.top[0, 1]
+    share1, share2 = replicate_statistics(ps, seed)[:, 2]  # the top-1% row
     mw = mann_whitney_u(share1, share2)
     ks = ks_two_sample(share1, share2)
     return DemoReport(

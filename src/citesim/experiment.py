@@ -44,7 +44,6 @@ __all__ = [
     "STREAM_VERSION",
     "ParameterSet",
     "REPLICATE_STATISTICS",
-    "ReplicateStats",
     "ConfigSummary",
     "Table1Cell",
     "Table2Row",
@@ -65,7 +64,7 @@ INDICATOR_NAMES = ("arith", "geo", "top1", "top10", "top50")
 # Indicators with a closed-form interval to compare against the modelled one
 # (no reliable formula exists for the arithmetic mean of this distribution).
 FORMULA_INDICATOR_NAMES = ("geo", "top1", "top10", "top50")
-# Rows of ReplicateStats.values: the five indicators in INDICATOR_NAMES
+# Rows of replicate_statistics' array: the five indicators in INDICATOR_NAMES
 # order, the geometric mean as its ln(1 + c) mean, then the ln(1 + c) sd.
 REPLICATE_STATISTICS = ("arith", "log_mean", "top1", "top10", "top50", "log_sd")
 
@@ -138,38 +137,6 @@ class ParameterSet:
                 f"{n1} and {n2} (p1={self.p1:g}, p2={self.p2:g}, N={self.n_world})"
             )
         return n1, n2, self.n_world - n1 - n2
-
-
-@dataclass(frozen=True)
-class ReplicateStats:
-    """Per-replicate statistics for one configuration.
-
-    values has shape (2, 6, R), indexed by (country, statistic, replicate)
-    with the statistics in REPLICATE_STATISTICS order.  log_mean and log_sd
-    describe ln(1 + c); the offset geometric mean of a replicate is
-    expm1(log_mean).  arith, log_mean and log_sd are (2, R) views; top is
-    a (3, 2, R) view indexed by (share in TOP_SHARES, country).
-    """
-
-    n1: int
-    n2: int
-    values: np.ndarray
-
-    @property
-    def arith(self) -> np.ndarray:
-        return self.values[:, 0]
-
-    @property
-    def log_mean(self) -> np.ndarray:
-        return self.values[:, 1]
-
-    @property
-    def top(self) -> np.ndarray:
-        return self.values[:, 2:5].swapaxes(0, 1)
-
-    @property
-    def log_sd(self) -> np.ndarray:
-        return self.values[:, 5]
 
 
 # The summary's arrays and their shapes, in the order of the packed buffer
@@ -419,30 +386,33 @@ def _value_axis(table_end: int, draws) -> np.ndarray:
     rest); the world is the sum of the others.
     """
     tails = np.concatenate([tail for _, tail in draws]) - 1
-    extra = np.unique(tails) if tails.size else tails
+    extra = np.unique(tails)
     blocks = draws[0][0].shape[0]
     hists = np.zeros((4, blocks, table_end + extra.size), dtype=np.int64)
     for group, (hist, _) in enumerate(draws, start=1):
         hists[group, :, :table_end] = hist[:, :table_end]
-    if tails.size:
-        # Row group * blocks + r of the flattened histograms is replicate r of
-        # that group; tails lists each group's values replicate by replicate.
-        per_row = np.concatenate([hist[:, table_end] for hist, _ in draws])
-        np.add.at(hists.reshape(4 * blocks, -1),
-                  (np.repeat(np.arange(blocks, 4 * blocks), per_row),
-                   table_end + np.searchsorted(extra, tails)), 1)
+    # Row group * blocks + r of the flattened histograms is replicate r of
+    # that group; tails lists each group's values replicate by replicate.
+    per_row = np.concatenate([hist[:, table_end] for hist, _ in draws])
+    np.add.at(hists.reshape(4 * blocks, -1),
+              (np.repeat(np.arange(blocks, 4 * blocks), per_row),
+               table_end + np.searchsorted(extra, tails)), 1)
     np.sum(hists[1:], axis=0, out=hists[0])
     return hists
 
 
-def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
+def replicate_statistics(ps: ParameterSet, master_seed: int) -> np.ndarray:
     """Per-replicate indicator statistics for both countries.
 
-    For each replicate: per-country arithmetic mean, mean and sample
-    standard deviation of ln(1 + c), and the three top-X shares computed
-    against the full world sample with proportional tie credit.  Each
-    block of replicates is reduced on the count table's own axis: cells
-    0..table_end-1 and one lumped cell for every count above the table.
+    Returns a float64 array of shape (2, 6, R), indexed by (country,
+    statistic, replicate) with the statistics in REPLICATE_STATISTICS
+    order: the arithmetic mean, the mean of ln(1 + c) (the offset
+    geometric mean is its expm1), the top-1/10/50% shares computed against
+    the full world sample with proportional tie credit, and the sample
+    standard deviation of ln(1 + c).
+
+    Each block of replicates is reduced on the count table's own axis:
+    cells 0..table_end-1 and one lumped cell for every count above the table.
     The countries' sums of c, ln(1 + c) and ln^2(1 + c) are one product of
     their histograms with those columns (0 in the lumped cell) plus the
     per-row sums of their tail values.  One tie credit over all three
@@ -486,7 +456,7 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> ReplicateStats:
         ss = sums[..., 2] - sizes * m * m
         values[:, 5, block] = np.sqrt(np.maximum(ss, 0.0) / (sizes - 1))
 
-    return ReplicateStats(n1=n1, n2=n2, values=values)
+    return values
 
 
 def run_config(ps: ParameterSet, master_seed: int) -> ConfigSummary:
@@ -497,13 +467,13 @@ def run_config(ps: ParameterSet, master_seed: int) -> ConfigSummary:
     only the offset geometric mean is averaged apart, from expm1(log_mean).
     The t and normal quantiles are taken once, for both countries.
     """
-    rs = replicate_statistics(ps, master_seed)
-    sizes = np.array([rs.n1, rs.n2])
-    means = rs.values.sum(axis=-1) / ps.replicates  # np.mean, bit for bit
+    values = replicate_statistics(ps, master_seed)
+    sizes = np.array(ps.country_sizes()[:2])
+    means = values.sum(axis=-1) / ps.replicates  # np.mean, bit for bit
     # The geometric mean's model interval is on the ln(1 + c) scale.
-    limits = empirical_limits(rs.values[:, :len(INDICATOR_NAMES)])
+    limits = empirical_limits(values[:, :len(INDICATOR_NAMES)])
     mean = means[:, :len(INDICATOR_NAMES)].copy()
-    mean[:, 1] = np.expm1(rs.log_mean).sum(axis=-1) / ps.replicates
+    mean[:, 1] = np.expm1(values[:, 1]).sum(axis=-1) / ps.replicates
     # expm1 is monotone, so the offset-scale empirical interval is the
     # transform of the log-scale one.
     empirical = limits.copy()

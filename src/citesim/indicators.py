@@ -32,12 +32,16 @@ def tie_credit(world: np.ndarray, x_percent, groups=()) -> tuple:
     x_percent; the articles at v_t share the remaining q - #{c > v_t} slots
     equally (q = x_percent/100 * N, kept as an exact real), each receiving
     frac, which is 1.0 when the cutoff block fits entirely.  x_percent may
-    be an array that broadcasts against N, giving t and frac that shape.
+    be an array that broadcasts against N, giving t and frac that shape;
+    every share must lie in (0, 100], or ValueError is raised.
     Each entry of groups is the histogram of a subset of the world's
     articles on the world's axis; its credit is
     #{c > v_t} + frac * #{c == v_t}, and credits stacks them on a leading
     axis.
     """
+    shares = np.asarray(x_percent)
+    if not (shares.min() > 0 and shares.max() <= 100):
+        raise ValueError(f"x_percent must lie in (0, 100], got {x_percent}")
     world = np.asarray(world)
     groups = np.asarray(groups if len(groups) else np.empty((0, *world.shape), world.dtype))
     if groups.shape[1:] != world.shape:

@@ -198,6 +198,19 @@ class TestSurface:
                                 check=True)
         assert result.stdout.strip() == "[]"
 
+    def test_package_import_loads_no_submodule(self):
+        # The package re-exports nothing: names are imported from their modules.
+        src = Path(citesim.__file__).resolve().parents[1]
+        code = "\n".join([
+            "import sys",
+            f"sys.path.insert(0, {str(src)!r})",
+            "import citesim",
+            "print(sorted(name for name in sys.modules if name.startswith('citesim.')))",
+        ])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True)
+        assert result.stdout.strip() == "[]"
+
 
 def synthetic_report():
     table1 = {

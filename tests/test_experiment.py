@@ -19,6 +19,7 @@ from citesim.experiment import (
     ConfigSummary,
     FORMULA_INDICATOR_NAMES,
     INDICATOR_NAMES,
+    REPLICATE_STATISTICS,
     ParameterSet,
     derive_seed,
     generate_grid,
@@ -51,6 +52,8 @@ SMALL = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=60, replicates=50
 HEAVY_TAIL = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=200, sigma=3.0,
                           replicates=100)
 LARGE_WORLD = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=50_000, replicates=128)
+# Row of each statistic in replicate_statistics' (country, statistic, replicate) array.
+ROW = {name: k for k, name in enumerate(REPLICATE_STATISTICS)}
 
 
 class TestParameterSet:
@@ -191,13 +194,15 @@ class TestReplicateStatistics:
             world = WorldReplicate(counts, membership)
             for i, country in enumerate((COUNTRY_1, COUNTRY_2)):
                 expected = country_indicators(world, country)
-                assert stats.arith[i, r] == pytest.approx(expected.arith, rel=1e-12)
-                assert math.expm1(stats.log_mean[i, r]) == pytest.approx(expected.geo, rel=1e-12)
-                assert stats.top[0, i, r] == pytest.approx(expected.top1, abs=1e-12)
-                assert stats.top[1, i, r] == pytest.approx(expected.top10, abs=1e-12)
-                assert stats.top[2, i, r] == pytest.approx(expected.top50, abs=1e-12)
+                assert stats[i, ROW["arith"], r] == pytest.approx(expected.arith, rel=1e-12)
+                assert math.expm1(stats[i, ROW["log_mean"], r]) == pytest.approx(expected.geo,
+                                                                                 rel=1e-12)
+                assert stats[i, ROW["top1"], r] == pytest.approx(expected.top1, abs=1e-12)
+                assert stats[i, ROW["top10"], r] == pytest.approx(expected.top10, abs=1e-12)
+                assert stats[i, ROW["top50"], r] == pytest.approx(expected.top50, abs=1e-12)
                 mine = counts[membership == country]
-                assert stats.log_sd[i, r] == pytest.approx(np.log1p(mine).std(ddof=1), rel=1e-9)
+                assert stats[i, ROW["log_sd"], r] == pytest.approx(np.log1p(mine).std(ddof=1),
+                                                                   rel=1e-9)
         assert tail_cutoffs > 0 or ps is not HEAVY_TAIL
         assert exact_blocks or ps is not HEAVY_TAIL
 
@@ -207,13 +212,13 @@ class TestReplicateStatistics:
         # whole reduction once was: integer sums and credits agree exactly,
         # the ln(1 + c) sums only to rounding, being summed in another order.
         stats = replicate_statistics(ps, master_seed=7)
-        sizes = np.array([[stats.n1], [stats.n2]])
+        sizes = np.array(ps.country_sizes()[:2])[:, None]
         for start, table_end, draws in experiment._world_blocks(ps, 7):
             hists = experiment._value_axis(table_end, draws)
             tails = np.concatenate([tail for _, tail in draws]) - 1
             axis = np.concatenate([np.arange(table_end), np.unique(tails)]).astype(np.float64)
             assert axis.size == hists.shape[-1]
-            block = stats.values[:, :, start:start + hists.shape[1]]
+            block = stats[:, :, start:start + hists.shape[1]]
             countries = hists[1:3]
             _, _, credits = tie_credit(hists[0], np.array(TOP_SHARES)[:, None], countries)
             assert block[:, 2:5].tolist() == (credits / sizes[:, :, None]).tolist()
@@ -233,7 +238,7 @@ class TestReplicateStatistics:
 
         monkeypatch.setattr(experiment, "_value_axis", refuse)
         ps = ParameterSet(mu1=0.9, mu2=1.1, p1=0.2, p2=0.1, n_world=n_world, replicates=200)
-        assert np.isfinite(replicate_statistics(ps, master_seed=7).values).all()
+        assert np.isfinite(replicate_statistics(ps, master_seed=7)).all()
 
     @pytest.mark.parametrize("country1_tail", [[51], [51, 46]], ids=["at-q", "above-q"])
     def test_cutoff_in_lumped_cell_takes_exact_path(self, country1_tail, monkeypatch):
@@ -259,13 +264,16 @@ class TestReplicateStatistics:
                                                                  [40, 20, 140]))
         for i, country in enumerate((COUNTRY_1, COUNTRY_2)):
             expected = country_indicators(world, country)
-            assert stats.arith[i, 0] == expected.arith
-            assert math.expm1(stats.log_mean[i, 0]) == pytest.approx(expected.geo, rel=1e-12)
-            assert stats.top[:, i, 0].tolist() == pytest.approx(
+            assert stats[i, ROW["arith"], 0] == expected.arith
+            assert math.expm1(stats[i, ROW["log_mean"], 0]) == pytest.approx(expected.geo,
+                                                                             rel=1e-12)
+            tops = stats[i, [ROW["top1"], ROW["top10"], ROW["top50"]], 0]
+            assert tops.tolist() == pytest.approx(
                 [expected.top1, expected.top10, expected.top50], abs=1e-12)
         # The above-q world's two most cited articles are both country 1's;
         # the lumped cell would have split the two slots over its three.
-        assert stats.top[0, :, 0].tolist() == ([1 / 40, 1 / 20] if lumped == 1 else [2 / 40, 0])
+        top1 = stats[:, ROW["top1"], 0].tolist()
+        assert top1 == ([1 / 40, 1 / 20] if lumped == 1 else [2 / 40, 0])
 
     def test_world_sampler_distribution(self):
         # equal locations everywhere turn the world into one iid sample
@@ -308,9 +316,9 @@ class TestReplicateStatistics:
         y = np.log1p(replicate_world(SMALL, 7, 0)[:n1])
         lower, upper = log_mean_limits(float(y.mean()), float(y.std(ddof=1)), n1)
         t_q = sps.t.ppf(0.975, n1 - 1)
-        half = t_q * stats.log_sd[0, 0] / math.sqrt(n1)
-        assert lower == pytest.approx(stats.log_mean[0, 0] - half, rel=1e-12)
-        assert upper == pytest.approx(stats.log_mean[0, 0] + half, rel=1e-12)
+        half = t_q * stats[0, ROW["log_sd"], 0] / math.sqrt(n1)
+        assert lower == pytest.approx(stats[0, ROW["log_mean"], 0] - half, rel=1e-12)
+        assert upper == pytest.approx(stats[0, ROW["log_mean"], 0] + half, rel=1e-12)
 
 
 # Two articles per country: at seed 7 both countries' top-1% shares are 0 in
@@ -335,9 +343,9 @@ class TestRunConfig:
         # take the library's quantiles, whose accuracy test_special pins.
         summary = run_config(ps, master_seed=7)
         stats = replicate_statistics(ps, master_seed=7)
-        series = {"arith": stats.arith, "geo": stats.log_mean,
-                  "top1": stats.top[0], "top10": stats.top[1], "top50": stats.top[2]}
-        sizes = (stats.n1, stats.n2)
+        series = {name: stats[:, ROW["log_mean" if name == "geo" else name]]
+                  for name in INDICATOR_NAMES}
+        sizes = ps.country_sizes()[:2]
         empirical = {}
         for i, n in enumerate(sizes):
             for j, name in enumerate(INDICATOR_NAMES):
@@ -353,7 +361,7 @@ class TestRunConfig:
             for k, name in enumerate(FORMULA_INDICATOR_NAMES):
                 model = empirical_oracle(series[name][i])
                 p = float(series[name][i].mean())
-                formula = (t_interval_oracle(p, float(stats.log_sd[i].mean()), n,
+                formula = (t_interval_oracle(p, float(stats[i, ROW["log_sd"]].mean()), n,
                                              stdtrit(n - 1, 0.975))
                            if name == "geo" else normal_interval_oracle(p, n, ndtri(0.975)))
                 assert summary.model[i, k].tolist() == list(model)
@@ -376,11 +384,11 @@ class TestRunConfig:
         stats = replicate_statistics(SMALL, master_seed=7)
         reps = SMALL.replicates
         series = {
-            "arith": stats.arith,
-            "geo": np.expm1(stats.log_mean),
-            "top1": stats.top[0],
-            "top10": stats.top[1],
-            "top50": stats.top[2],
+            "arith": stats[:, ROW["arith"]],
+            "geo": np.expm1(stats[:, ROW["log_mean"]]),
+            "top1": stats[:, ROW["top1"]],
+            "top10": stats[:, ROW["top10"]],
+            "top50": stats[:, ROW["top50"]],
         }
         for j, (name, values) in enumerate(series.items()):
             assert name == INDICATOR_NAMES[j]

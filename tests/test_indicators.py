@@ -117,6 +117,15 @@ class TestTopCredit:
         t, frac, _ = tie_credit(np.bincount([7, 7, 1, 0]), 50.0)
         assert (t, frac) == (7, 1.0)
 
+    def test_share_must_lie_in_0_100(self):
+        # At 0 the cutoff index would wrap to -1 and credit every article; at
+        # 150 more credit would be handed out than there are articles.
+        world = np.array([[3, 1, 0], [0, 2, 2]])
+        for x in (0.0, -5.0, 150.0, math.nan, np.array([[1.0], [150.0], [50.0]])):
+            with pytest.raises(ValueError, match=r"\(0, 100\]"):
+                tie_credit(world, x, [world])
+        assert article_credit([0, 2, 5], 100.0).tolist() == [1.0, 1.0, 1.0]
+
     def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(2024)
         for _ in range(1000):
