@@ -155,6 +155,67 @@ MUTANTS = (
         "    share1, share2 = replicate_statistics(ps, seed)[:, 3]  # the top-1% row\n",
         ("tests/test_cli.py::TestModes::test_golden_appendix_hash",),
     ),
+    Mutant(
+        "rest_of_world_location: the rest's share taken as 1 - p1",
+        "src/citesim/distribution.py",
+        "    return math.log(arg / (1.0 - p1 - p2))\n",
+        "    return math.log(arg / (1.0 - p1))\n",
+        ("tests/test_distribution.py::TestMixture::test_worked_value",
+         "tests/test_distribution.py::TestMixture::test_round_trip_identity_single"),
+    ),
+    Mutant(
+        "_load_config_file: the stream_version refusal dropped",
+        "src/citesim/cli.py",
+        "    if stream != STREAM_VERSION:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::TestModes::test_manifest_of_other_streams_is_refused",),
+    ),
+    Mutant(
+        "replicate_statistics: the sample sd divided by n, not n - 1",
+        EXPERIMENT,
+        "        values[:, 5, block] = np.sqrt(np.maximum(ss, 0.0) / (sizes - 1))\n",
+        "        values[:, 5, block] = np.sqrt(np.maximum(ss, 0.0) / sizes)\n",
+        (PIPELINE,
+         f"{T_EXPERIMENT}::TestReplicateStatistics::test_log_stats_feed_the_public_interval_op"),
+    ),
+    Mutant(
+        "intervals: 0.95 for the upper quantile",
+        "src/citesim/intervals.py",
+        "_UPPER_QUANTILE = 0.975\n",
+        "_UPPER_QUANTILE = 0.95\n",
+        ("tests/test_intervals.py::TestLogMeanInterval::test_matches_scipy_interval",
+         "tests/test_intervals.py::TestProportionInterval::test_hand_computed_half_width"),
+    ),
+    Mutant(
+        "derive_seed: the payload's replicate field 1",
+        EXPERIMENT,
+        '    payload = f"{master_seed}:{config_index}:0:world".encode()\n',
+        '    payload = f"{master_seed}:{config_index}:1:world".encode()\n',
+        (f"{T_EXPERIMENT}::TestDeriveSeed::test_stream_version_2_payload",
+         "tests/test_cli.py::TestModes::test_golden_sweep_hashes"),
+    ),
+    Mutant(
+        "tie_credit: floor for ceil in the cutoff threshold",
+        "src/citesim/indicators.py",
+        "    t = (below > (n - np.ceil(q).astype(below.dtype))[..., None]).argmax(axis=-1) - 1\n",
+        "    t = (below > (n - np.floor(q).astype(below.dtype))[..., None]).argmax(axis=-1) - 1\n",
+        ("tests/test_indicators.py::TestTopCredit::test_against_brute_force_oracle",),
+    ),
+    Mutant(
+        "summarize: NaN discrepancies kept",
+        EXPERIMENT,
+        "        kept = ~np.isnan(disc)\n",
+        "        kept = np.full(disc.shape, True)\n",
+        (f"{T_EXPERIMENT}::TestSummarize::test_nan_discrepancies_skipped",),
+    ),
+    Mutant(
+        "rank_sums_from_frequency: tie midpoints one rank low",
+        "src/citesim/appendix_stats.py",
+        "    midpoints = np.cumsum(block) - (block - 1) / 2.0\n",
+        "    midpoints = np.cumsum(block) - (block + 1) / 2.0\n",
+        ("tests/test_appendix_stats.py::TestRankSums::test_worked_example_exact",
+         "tests/test_cli.py::TestModes::test_golden_table4_hash"),
+    ),
 )
 
 
