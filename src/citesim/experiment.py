@@ -99,7 +99,7 @@ class ParameterSet:
     config_index: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("mu_overall", "mu1", "mu2"):
+        for name in ("mu_overall", "mu1", "mu2", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.mu1 <= self.mu2:

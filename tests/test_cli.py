@@ -441,12 +441,14 @@ class TestExitCodes:
         ["--n-values", "10", "--p-values", "0.05", "0.1"],
         ["--mu-values", "1.0", "--n-values", "500"],
         ["--mu-values", "0.9", "2.5", "--p-values", "0.25"],
+        ["--sigma", "inf"],
     ], ids=["zero-world", "shares-over-one", "negative-share", "one-article-country",
-            "single-location", "no-feasible-configuration"])
+            "single-location", "no-feasible-configuration", "infinite-sigma"])
     def test_invalid_grid_is_config_error(self, argv, tmp_path, capsys):
         # exit 1 comes only from parse_config, before anything is sampled
-        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_mode_is_one(self):
         assert main(["tableX"]) == 1

@@ -76,7 +76,8 @@ class TestParameterSet:
             ParameterSet(mu1=0.9, mu2=1.0, p1=0.7, p2=0.3, n_world=100)
 
     @pytest.mark.parametrize("field,value", [
-        ("sigma", 0.0), ("sigma", math.nan), ("mu1", -math.inf), ("mu2", math.nan),
+        ("sigma", 0.0), ("sigma", math.nan), ("sigma", math.inf), ("mu1", -math.inf),
+        ("mu2", math.nan),
         ("mu_overall", math.inf), ("n_world", 0), ("replicates", 0),
     ])
     def test_invalid_field_rejected(self, field, value):
