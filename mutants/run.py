@@ -130,10 +130,10 @@ MUTANTS = (
         (INTERVAL_ORACLES,),
     ),
     Mutant(
-        "_unpack_summary: model and formula swapped",
+        "ConfigSummary.__setstate__: unpickled arrays left writeable",
         EXPERIMENT,
-        "    summary = ConfigSummary(params, *arrays)\n",
-        "    summary = ConfigSummary(params, *arrays[:2], arrays[3], arrays[2], *arrays[4:])\n",
+        "        self.__post_init__()\n",
+        "",
         (f"{T_EXPERIMENT}::TestRunConfig::test_pickle_round_trip_keeps_arrays_read_only",
          f"{T_EXPERIMENT}::TestSweep::test_summaries_come_back_as_run_config_makes_them"),
     ),
@@ -200,6 +200,13 @@ MUTANTS = (
         "    t = (below > (n - np.ceil(q).astype(below.dtype))[..., None]).argmax(axis=-1) - 1\n",
         "    t = (below > (n - np.floor(q).astype(below.dtype))[..., None]).argmax(axis=-1) - 1\n",
         ("tests/test_indicators.py::TestTopCredit::test_against_brute_force_oracle",),
+    ),
+    Mutant(
+        "summarize: world sizes in decreasing order",
+        EXPERIMENT,
+        "    n_values = sorted({r.params.n_world for r in counted})\n",
+        "    n_values = sorted({r.params.n_world for r in counted}, reverse=True)\n",
+        ("tests/test_cli.py::TestModes::test_golden_sweep_hashes",),
     ),
     Mutant(
         "summarize: NaN discrepancies kept",

@@ -27,8 +27,6 @@ from .experiment import (
     DEFAULT_MU_VALUES,
     DEFAULT_N_VALUES,
     DEFAULT_P_VALUES,
-    FORMULA_INDICATOR_NAMES,
-    INDICATOR_NAMES,
     STREAM_VERSION,
     SweepReport,
     _fmt,
@@ -202,26 +200,6 @@ def _write_csv(path: Path, header, rows=(), text=()) -> None:
         handle.writelines(text)
 
 
-def _table1_rows(report: SweepReport):
-    n_values = sorted({n for n, _ in report.table1})
-    for n_world in n_values:
-        for name in INDICATOR_NAMES:
-            cell = report.table1[(n_world, name)]
-            yield [n_world, name, cell.count, cell.percent]
-
-
-def _table2_rows(report: SweepReport):
-    n_values = sorted({n for _, _, n in report.table2})
-    for n_world in n_values:
-        for name in FORMULA_INDICATOR_NAMES:
-            for side in ("lower", "upper"):
-                row = report.table2.get((name, side, n_world))
-                if row is None:
-                    continue
-                yield [name, side, n_world, _fmt(row.minimum), _fmt(row.maximum),
-                       _fmt(row.mean), _fmt(row.sd)]
-
-
 def emit_reports(report: SweepReport, config: RunConfig, outdir: Path) -> dict:
     """Write every sweep artifact; returns {artifact: path}."""
     outdir = Path(outdir)
@@ -229,10 +207,13 @@ def emit_reports(report: SweepReport, config: RunConfig, outdir: Path) -> dict:
     written = {"table1": outdir / "table1.csv", "table2": outdir / "table2.csv",
                "figure1": outdir / "figure1.csv", "records": outdir / "records.jsonl"}
     try:
+        # summarize built both tables in the order they are written.
         _write_csv(written["table1"], ["N", "indicator", "count", "percent"],
-                   _table1_rows(report))
+                   [[n_world, name, cell.count, cell.percent]
+                    for (n_world, name), cell in report.table1.items()])
         _write_csv(written["table2"], ["indicator", "limit_side", "N", "min", "max", "mean", "sd"],
-                   _table2_rows(report))
+                   [[name, side, n_world, _fmt(row.minimum), _fmt(row.maximum), _fmt(row.mean),
+                     _fmt(row.sd)] for (name, side, n_world), row in report.table2.items()])
         # Each record's lines were encoded where it ran (ConfigSummary.encoded).
         encoded = [record.encoded for record in report.records]
         _write_csv(written["figure1"], ["mu1", "mu2", "p1", "p2", "N", "indicator", "similarity"],

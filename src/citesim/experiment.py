@@ -28,7 +28,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -139,16 +139,6 @@ class ParameterSet:
         return n1, n2, self.n_world - n1 - n2
 
 
-# The summary's arrays and their shapes, in the order of the packed buffer
-# a summary crosses processes as.
-_SUMMARY_ARRAYS = {
-    "mean": (2, len(INDICATOR_NAMES)),
-    "empirical": (2, len(INDICATOR_NAMES), 2),
-    "model": (2, len(FORMULA_INDICATOR_NAMES), 2),
-    "formula": (2, len(FORMULA_INDICATOR_NAMES), 2),
-    "discrepancy": (2, len(FORMULA_INDICATOR_NAMES), 2),
-    "similarity": (len(INDICATOR_NAMES),),
-}
 _FORMULA_INDEX = {name: k for k, name in enumerate(FORMULA_INDICATOR_NAMES)}
 
 
@@ -180,16 +170,13 @@ class ConfigSummary:
     similarity: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in _SUMMARY_ARRAYS:
-            getattr(self, name).flags.writeable = False
+        for array in fields(self)[1:]:
+            getattr(self, array.name).flags.writeable = False
 
-    def __reduce__(self):
-        # Through _unpack_summary, so an unpickled summary's arrays are read-only too.
-        return _unpack_summary, (self.params, self.packed(), self.__dict__.get("encoded"))
-
-    def packed(self) -> bytes:
-        """The float64 arrays, in _SUMMARY_ARRAYS order, as one buffer."""
-        return b"".join([getattr(self, name).tobytes() for name in _SUMMARY_ARRAYS])
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays are writeable; the cached encoded text comes along.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @cached_property
     def encoded(self) -> tuple[str, str]:
@@ -240,20 +227,6 @@ class ConfigSummary:
             "country1": countries[0],
             "country2": countries[1],
         }
-
-
-def _unpack_summary(params: ParameterSet, packed: bytes, encoded=None) -> ConfigSummary:
-    """A ConfigSummary from ConfigSummary.packed(), with its encoded text if
-    given; its arrays are read-only views of the buffer."""
-    flat, start, arrays = np.frombuffer(packed), 0, []
-    for shape in _SUMMARY_ARRAYS.values():
-        size = math.prod(shape)
-        arrays.append(flat[start:start + size].reshape(shape))
-        start += size
-    summary = ConfigSummary(params, *arrays)
-    if encoded is not None:
-        summary.__dict__["encoded"] = encoded
-    return summary
 
 
 def _nan_to_none(value: float):
@@ -576,7 +549,9 @@ class SweepReport:
 
     table1 maps (n_world, indicator) to a similarity-below-1 count;
     table2 maps (indicator, side, n_world) to discrepancy statistics, where
-    the per-configuration value averages the two countries.
+    the per-configuration value averages the two countries.  Both are in
+    the order table1.csv and table2.csv list them: by N, then indicator,
+    then limit side; a table2 row with no value is absent.
     """
 
     table1: dict[tuple[int, str], Table1Cell]

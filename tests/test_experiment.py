@@ -458,9 +458,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_summaries_come_back_as_run_config_makes_them(self, processes):
-        # A summary comes back from its worker as a packed buffer with its
-        # encoded text, and equals the one run_config returns here.  36
-        # configurations give two processes runs of two.
+        # A summary comes back from its worker pickled, with its encoded
+        # text and read-only arrays, and equals the one run_config returns
+        # here.  36 configurations give two processes runs of two.
         grid = generate_grid(mu_values=(0.9, 1.0, 1.1), p_values=(0.1, 0.2),
                              n_values=(100, 150, 200), replicates=40)
         for summary, ps in zip(run_sweep(grid, master_seed=3, processes=processes), grid):
@@ -469,6 +469,8 @@ class TestSweep:
             assert "encoded" in vars(summary)  # encoded by the worker
             assert_same_summary(summary, want)
             assert summary.encoded == want.encoded
+            for name in SUMMARY_ARRAYS:
+                assert getattr(summary, name).flags.writeable is False, name
 
     def test_auto_process_count_follows_the_affinity_mask(self, monkeypatch):
         # processes=0 (--threads 0) under a one-CPU affinity mask runs in
