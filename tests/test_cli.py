@@ -52,6 +52,17 @@ GOLDEN_SHA256 = {
     "table2.csv": "c826d8e472362ec7a4fd26b2102fd35bbc9ab1e9e95d5437959d055aa9e6747f",
     "figure1.csv": "04f70835570c3b1d6a5258f82584a623e1a08386b89d72d8cdb1a74820054efa",
 }
+# A sweep at sigma 2, where the heavier tail puts one block's top-1% cutoff
+# among the values above the count table (the exact value axis).
+GOLDEN_SIGMA2_ARGS = [
+    "sweep", "--sigma", "2", "--mu-values", "0.9", "1.0", "--p-values", "0.1", "0.2",
+    "--n-values", "60", "500", "--replicates", "40", "--seed", "1", "--threads", "1",
+]
+GOLDEN_SIGMA2_SHA256 = {
+    "records.jsonl": "6a6dda302b1e3bb447b9e7b94b580922362c4b76a435cc77fb611a6f930db764",
+    "table1.csv": "e5d23f6fc3d72313fee18a7b24c88d2f4ee6d5524294235a90f1686423aff7fc",
+    "table2.csv": "2230e934e146021fca5370a41527ecb3aa780fff745ce14940d615810f7c0bcf",
+}
 # The appendix demo (both countries at one location, unequal sizes) under
 # the same Python and numpy versions.
 GOLDEN_APPENDIX_ARGS = ["appendix", "--replicates", "200", "--seed", "3"]
@@ -331,6 +342,13 @@ class TestModes:
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
         assert got == GOLDEN_SHA256, f"Python {platform.python_version()}, numpy {np.__version__}"
+
+    def test_golden_sigma2_hashes(self, tmp_path):
+        assert main(GOLDEN_SIGMA2_ARGS + ["--out", str(tmp_path)]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SIGMA2_SHA256}
+        assert got == GOLDEN_SIGMA2_SHA256, (
+            f"Python {platform.python_version()}, numpy {np.__version__}")
 
     def test_golden_appendix_hash(self, tmp_path):
         assert main(GOLDEN_APPENDIX_ARGS + ["--out", str(tmp_path)]) == 0
