@@ -204,8 +204,8 @@ MUTANTS = (
     Mutant(
         "summarize: world sizes in decreasing order",
         EXPERIMENT,
-        "    n_values = sorted({r.params.n_world for r in counted})\n",
-        "    n_values = sorted({r.params.n_world for r in counted}, reverse=True)\n",
+        "    n_values = sorted({r.params.n_world for r in records})\n",
+        "    n_values = sorted({r.params.n_world for r in records}, reverse=True)\n",
         ("tests/test_cli.py::TestModes::test_golden_sweep_hashes",),
     ),
     Mutant(

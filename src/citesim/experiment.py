@@ -83,9 +83,6 @@ class ParameterSet:
     """One configuration: two countries and the rest of the world sharing
     one scale sigma, at an overall location mu_overall that the rest of
     the world's solved location holds fixed (rest_of_world_location).
-
-    mu1 == mu2 makes a diagnostic configuration: a no-difference case
-    whose similarity is undefined and which summaries leave out.
     """
 
     mu1: float
@@ -117,10 +114,6 @@ class ParameterSet:
             raise ValueError(f"n_world must be positive, got {self.n_world}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be positive, got {self.replicates}")
-
-    @property
-    def diagnostic(self) -> bool:
-        return self.mu1 == self.mu2
 
     def country_sizes(self) -> tuple[int, int, int]:
         """Article counts (country1, country2, rest); shares are rounded
@@ -158,7 +151,7 @@ class ConfigSummary:
       fractions of the modelled interval's width; NaN where that interval
       has zero width (the statistic was identical in every replicate);
     - similarity (5,): each indicator's similarity score; NaN when the
-      two countries' means coincide and in diagnostic configurations.
+      two countries' means coincide.
     """
 
     params: ParameterSet
@@ -221,7 +214,7 @@ class ConfigSummary:
             "sigma": ps.sigma,
             "mu_overall": ps.mu_overall,
             "replicates": ps.replicates,
-            "diagnostic": ps.diagnostic,
+            "diagnostic": ps.mu1 == ps.mu2,
             "similarity": {name: _nan_to_none(v)
                            for name, v in zip(INDICATOR_NAMES, self.similarity.tolist())},
             "country1": countries[0],
@@ -456,13 +449,8 @@ def run_config(ps: ParameterSet, master_seed: int) -> ConfigSummary:
         log_mean_limits(means[:, 1], means[:, 5], sizes)[:, None],
         proportion_limits(means[:, 2:5], sizes[:, None]),
     ], axis=1)
-    if ps.diagnostic:
-        # No population difference to test for; the score is undefined.
-        similarity = np.full(len(INDICATOR_NAMES), math.nan)
-    else:
-        similarity = similarities(mean, empirical)
     return ConfigSummary(ps, mean, empirical, model, formula,
-                         limit_discrepancies(model, formula), similarity)
+                         limit_discrepancies(model, formula), similarities(mean, empirical))
 
 
 def _run_configs(args) -> list[ConfigSummary]:
@@ -527,8 +515,6 @@ class Table1Cell:
 
     @property
     def percent(self) -> int:
-        if self.total == 0:
-            return 0
         return int(math.floor(100.0 * self.count / self.total + 0.5))
 
 
@@ -562,17 +548,15 @@ class SweepReport:
 def summarize(records) -> SweepReport:
     """Fold per-configuration summaries into the two report tables.
 
-    Diagnostic (equal-means) configurations are excluded from both tables;
     NaN discrepancies (degenerate modelled intervals) are skipped.
     """
     records = list(records)
-    counted = [r for r in records if not r.params.diagnostic]
-    n_values = sorted({r.params.n_world for r in counted})
+    n_values = sorted({r.params.n_world for r in records})
 
     table1: dict[tuple[int, str], Table1Cell] = {}
     table2: dict[tuple[str, str, int], Table2Row] = {}
     for n_world in n_values:
-        rows = [r for r in counted if r.params.n_world == n_world]
+        rows = [r for r in records if r.params.n_world == n_world]
         hits = np.count_nonzero(np.array([r.similarity for r in rows]) < 1.0, axis=0)
         for name, count in zip(INDICATOR_NAMES, hits.tolist()):
             table1[(n_world, name)] = Table1Cell(count, len(rows))

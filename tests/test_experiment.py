@@ -58,8 +58,8 @@ ROW = {name: k for k, name in enumerate(REPLICATE_STATISTICS)}
 
 class TestParameterSet:
     def test_equal_means_are_diagnostic(self):
-        assert ParameterSet(mu1=1.0, mu2=1.0, p1=0.1, p2=0.1, n_world=100).diagnostic
-        assert not ParameterSet(mu1=0.9, mu2=1.0, p1=0.1, p2=0.1, n_world=100).diagnostic
+        # records.jsonl derives its "diagnostic" key from mu1 == mu2; no
+        # configuration sets it.
         with pytest.raises(TypeError):
             ParameterSet(mu1=0.9, mu2=1.0, p1=0.1, p2=0.1, n_world=100, diagnostic=True)
 
@@ -322,21 +322,14 @@ class TestReplicateStatistics:
         assert upper == pytest.approx(stats[0, ROW["log_mean"], 0] + half, rel=1e-12)
 
 
-# Two articles per country: at seed 7 both countries' top-1% shares are 0 in
-# enough replicates for zero-width model intervals, and their means coincide.
+# Two articles per country at one location (mu1 == mu2): at seed 7 both
+# countries' top-1% shares are 0 in enough replicates for zero-width model
+# intervals, and their means coincide.
 TINY_DIAGNOSTIC = ParameterSet(mu1=1.0, mu2=1.0, p1=0.002, p2=0.002, n_world=1000,
                                replicates=50)
 
 
 class TestRunConfig:
-    def test_diagnostic_mode_yields_nan_similarity(self):
-        ps = ParameterSet(mu1=1.0, mu2=1.0, p1=0.2, p2=0.2, n_world=60, replicates=50)
-        summary = run_config(ps, master_seed=1)
-        assert summary.similarity.shape == (len(INDICATOR_NAMES),)
-        assert np.isnan(summary.similarity).all()
-        report = summarize([summary])
-        assert report.table1 == {}
-
     @pytest.mark.parametrize("ps", [SMALL, TINY_DIAGNOSTIC], ids=["small", "diagnostic"])
     def test_arrays_match_the_interval_functions(self, ps):
         # Every entry of the summary equals, exactly, what the independent
@@ -371,14 +364,12 @@ class TestRunConfig:
                                               discrepancy_oracle(model, formula))
         scores = [similarity_oracle(*empirical[0, name], *empirical[1, name])
                   for name in INDICATOR_NAMES]
-        if ps.diagnostic:
-            assert np.isnan(summary.similarity).all()
-        else:
-            assert summary.similarity.tolist() == scores
-        # The NaN cases occur in the diagnostic configuration only: zero-width
+        np.testing.assert_array_equal(summary.similarity, scores)
+        # The NaN cases occur in the tiny configuration only: zero-width
         # model intervals and equal top-1% means.
-        assert np.isnan(summary.discrepancy).any() == ps.diagnostic
-        assert math.isnan(scores[INDICATOR_NAMES.index("top1")]) == ps.diagnostic
+        tiny = ps is TINY_DIAGNOSTIC
+        assert np.isnan(summary.discrepancy).any() == tiny
+        assert math.isnan(scores[INDICATOR_NAMES.index("top1")]) == tiny
 
     def test_empirical_intervals_contain_95_percent(self):
         summary = run_config(SMALL, master_seed=7)
@@ -501,11 +492,8 @@ class TestSweep:
         assert re.fullmatch(pattern, lines[-1]).group(3) == "0"
 
 
-def _fake_summary(n_world, sims, diagnostic=False, discrepancy=(0.1, -0.05)):
-    ps = ParameterSet(
-        mu1=0.9, mu2=0.9 if diagnostic else 1.0, p1=0.1, p2=0.1,
-        n_world=n_world, replicates=1000,
-    )
+def _fake_summary(n_world, sims, discrepancy=(0.1, -0.05)):
+    ps = ParameterSet(mu1=0.9, mu2=1.0, p1=0.1, p2=0.1, n_world=n_world, replicates=1000)
     n_formula = len(FORMULA_INDICATOR_NAMES)
     unit = np.tile([0.0, 1.0], (2, n_formula, 1))
     return ConfigSummary(
@@ -531,12 +519,6 @@ class TestSummarize:
         assert report.table1[(500, "geo")].count == 1
         assert report.table1[(500, "arith")].count == 0
         assert report.table1[(500, "geo")].total == 1
-
-    def test_diagnostic_rows_excluded(self):
-        sims = {name: math.nan for name in INDICATOR_NAMES}
-        report = summarize([_fake_summary(500, sims, diagnostic=True)])
-        assert report.table1 == {}
-        assert report.table2 == {}
 
     def test_discrepancy_statistics(self):
         rows = [
