@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import kolmogorov, ndtr
+from .distribution import rest_of_world_location
 from .experiment import ParameterSet, replicate_statistics
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "ks_two_sample",
     "table4_example",
     "APPENDIX_DEMO",
+    "appendix_config",
     "appendix_demo",
 ]
 
@@ -184,28 +186,31 @@ def table4_example() -> FrequencyTable:
     )
 
 
+def appendix_config(sigma: float = 1.0, mu_overall: float = 1.0,
+                    replicates: int = 1000) -> ParameterSet:
+    """The appendix demo's configuration: APPENDIX_DEMO's sizes and location.
+
+    Raises ValueError if no rest-of-world location keeps mu_overall.
+    """
+    demo, mu = APPENDIX_DEMO, APPENDIX_DEMO["mu"]
+    ps = ParameterSet(mu1=mu, mu2=mu, p1=demo["sample1_size"] / demo["world_size"],
+                      p2=demo["sample2_size"] / demo["world_size"], n_world=demo["world_size"],
+                      sigma=sigma, mu_overall=mu_overall, replicates=replicates)
+    rest_of_world_location(mu_overall, mu, mu, ps.p1, ps.p2)
+    return ps
+
+
 def appendix_demo(sigma: float = 1.0, mu_overall: float = 1.0, replicates: int = 1000,
                   seed: int = 0) -> DemoReport:
     """Replicated two-country run with identical locations but unequal sizes.
 
-    The country and world sizes and the shared location are APPENDIX_DEMO's.
-    Both countries draw from the same distribution; per replicate the
-    top-1% share of each country is recorded (full proportional tie
-    credit, same pipeline as the sweeps).  Reports the two share means,
-    Mann-Whitney and KS p values, and each country's fraction of
-    replicates with no top-1% credit at all.
+    The configuration is appendix_config's.  Both countries draw from the
+    same distribution; per replicate the top-1% share of each country is
+    recorded (full proportional tie credit, same pipeline as the sweeps).
+    Reports the two share means, Mann-Whitney and KS p values, and each
+    country's fraction of replicates with no top-1% credit at all.
     """
-    demo = APPENDIX_DEMO
-    ps = ParameterSet(
-        mu1=demo["mu"],
-        mu2=demo["mu"],
-        p1=demo["sample1_size"] / demo["world_size"],
-        p2=demo["sample2_size"] / demo["world_size"],
-        n_world=demo["world_size"],
-        sigma=sigma,
-        mu_overall=mu_overall,
-        replicates=replicates,
-    )
+    ps = appendix_config(sigma, mu_overall, replicates)
     share1, share2 = replicate_statistics(ps, seed)[:, 2]  # the top-1% row
     mw = mann_whitney_u(share1, share2)
     ks = ks_two_sample(share1, share2)

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .appendix_stats import (APPENDIX_DEMO, appendix_demo, rank_sums_from_frequency,
-                             table4_example)
+from .appendix_stats import (APPENDIX_DEMO, appendix_config, appendix_demo,
+                             rank_sums_from_frequency, table4_example)
 from .experiment import (
     DEFAULT_MU_VALUES,
     DEFAULT_N_VALUES,
@@ -85,6 +85,8 @@ class RunConfig:
         try:
             validate_grid(self.mu_values, self.p_values, self.n_values,
                           self.sigma, self.mu_overall)
+            if self.mode == "appendix":
+                appendix_config(self.sigma, self.mu_overall, self.replicates)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.output_dir.exists() and not self.output_dir.is_dir():

@@ -92,9 +92,14 @@ def rest_of_world_location(mu_overall: float, mu1: float, mu2: float,
     sigma cancels out of the solution.
 
     Raises ValueError if the country means already exceed the target
-    overall mean, which makes the logarithm argument non-positive.
+    overall mean, which makes the logarithm argument non-positive, or if
+    a location is too large for its exponential to be a float.
     """
-    arg = math.exp(mu_overall) - p1 * math.exp(mu1) - p2 * math.exp(mu2)
+    try:
+        arg = math.exp(mu_overall) - p1 * math.exp(mu1) - p2 * math.exp(mu2)
+    except OverflowError:
+        raise ValueError(f"locations too large for e^mu: mu_overall={mu_overall}, "
+                         f"mu1={mu1}, mu2={mu2}") from None
     if arg <= 0:
         raise ValueError(
             f"country means too large for overall location {mu_overall}: "

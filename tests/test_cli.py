@@ -460,8 +460,13 @@ class TestExitCodes:
         ["--mu-values", "1.0", "--n-values", "500"],
         ["--mu-values", "0.9", "2.5", "--p-values", "0.25"],
         ["--sigma", "inf"],
+        ["--mu-overall", "1000"],
+        ["--mu-values", "800", "801"],
+        ["appendix", "--mu-overall", "-1"],
     ], ids=["zero-world", "shares-over-one", "negative-share", "one-article-country",
-            "single-location", "no-feasible-configuration", "infinite-sigma"])
+            "single-location", "no-feasible-configuration", "infinite-sigma",
+            "overall-location-overflows", "country-location-overflows",
+            "infeasible-appendix"])
     def test_invalid_grid_is_config_error(self, argv, tmp_path, capsys):
         # exit 1 comes only from parse_config, before anything is sampled
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
