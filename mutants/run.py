@@ -45,6 +45,8 @@ EXPERIMENT = "src/citesim/experiment.py"
 T_EXPERIMENT = "tests/test_experiment.py"
 PIPELINE = f"{T_EXPERIMENT}::TestReplicateStatistics::test_matches_public_indicator_pipeline"
 INTERVAL_ORACLES = f"{T_EXPERIMENT}::TestRunConfig::test_arrays_match_the_interval_functions"
+INVALID_GRID = "tests/test_cli.py::TestExitCodes::test_invalid_grid_is_config_error"
+GOLDEN_SWEEP = "tests/test_cli.py::TestModes::test_golden_sweep_hashes"
 
 MUTANTS = (
     Mutant(
@@ -192,7 +194,7 @@ MUTANTS = (
         '    payload = f"{master_seed}:{config_index}:0:world".encode()\n',
         '    payload = f"{master_seed}:{config_index}:1:world".encode()\n',
         (f"{T_EXPERIMENT}::TestDeriveSeed::test_stream_version_2_payload",
-         "tests/test_cli.py::TestModes::test_golden_sweep_hashes"),
+         GOLDEN_SWEEP),
     ),
     Mutant(
         "tie_credit: floor for ceil in the cutoff threshold",
@@ -206,7 +208,7 @@ MUTANTS = (
         EXPERIMENT,
         "    n_values = sorted({r.params.n_world for r in records})\n",
         "    n_values = sorted({r.params.n_world for r in records}, reverse=True)\n",
-        ("tests/test_cli.py::TestModes::test_golden_sweep_hashes",),
+        (GOLDEN_SWEEP,),
     ),
     Mutant(
         "summarize: NaN discrepancies kept",
@@ -222,6 +224,34 @@ MUTANTS = (
         "    midpoints = np.cumsum(block) - (block + 1) / 2.0\n",
         ("tests/test_appendix_stats.py::TestRankSums::test_worked_example_exact",
          "tests/test_cli.py::TestModes::test_golden_table4_hash"),
+    ),
+    Mutant(
+        "rest_of_world_location: another exception caught for the overflow",
+        "src/citesim/distribution.py",
+        "    except OverflowError:\n",
+        "    except ZeroDivisionError:\n",
+        (INVALID_GRID,),
+    ),
+    Mutant(
+        "appendix_config: the rest-of-world solve dropped",
+        "src/citesim/appendix_stats.py",
+        "    rest_of_world_location(mu_overall, mu, mu, ps.p1, ps.p2)\n",
+        "",
+        (INVALID_GRID,),
+    ),
+    Mutant(
+        "REPLICATE_BLOCK: 32 replicates a block",
+        EXPERIMENT,
+        "REPLICATE_BLOCK = 64  # bounds the histogram arrays held at once\n",
+        "REPLICATE_BLOCK = 32  # bounds the histogram arrays held at once\n",
+        (GOLDEN_SWEEP,),
+    ),
+    Mutant(
+        "_fmt: seven significant digits",
+        EXPERIMENT,
+        '    return format(value, ".6g")\n',
+        '    return format(value, ".7g")\n',
+        (GOLDEN_SWEEP, "tests/test_cli.py::TestModes::test_golden_table4_hash"),
     ),
 )
 
