@@ -28,7 +28,6 @@ from .experiment import (
     DEFAULT_N_VALUES,
     DEFAULT_P_VALUES,
     STREAM_VERSION,
-    SweepReport,
     _fmt,
     generate_grid,
     run_sweep,
@@ -202,8 +201,9 @@ def _write_csv(path: Path, header, rows=(), text=()) -> None:
         handle.writelines(text)
 
 
-def emit_reports(report: SweepReport, config: RunConfig, outdir: Path) -> dict:
-    """Write every sweep artifact; returns {artifact: path}."""
+def emit_reports(summaries, config: RunConfig, outdir: Path) -> dict:
+    """Write every sweep artifact from the summaries; returns {artifact: path}."""
+    table1, table2 = summarize(summaries)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = {"table1": outdir / "table1.csv", "table2": outdir / "table2.csv",
@@ -212,12 +212,12 @@ def emit_reports(report: SweepReport, config: RunConfig, outdir: Path) -> dict:
         # summarize built both tables in the order they are written.
         _write_csv(written["table1"], ["N", "indicator", "count", "percent"],
                    [[n_world, name, cell.count, cell.percent]
-                    for (n_world, name), cell in report.table1.items()])
+                    for (n_world, name), cell in table1.items()])
         _write_csv(written["table2"], ["indicator", "limit_side", "N", "min", "max", "mean", "sd"],
                    [[name, side, n_world, _fmt(row.minimum), _fmt(row.maximum), _fmt(row.mean),
-                     _fmt(row.sd)] for (name, side, n_world), row in report.table2.items()])
-        # Each record's lines were encoded where it ran (ConfigSummary.encoded).
-        encoded = [record.encoded for record in report.records]
+                     _fmt(row.sd)] for (name, side, n_world), row in table2.items()])
+        # Each summary's lines were encoded where it ran (ConfigSummary.encoded).
+        encoded = [summary.encoded for summary in summaries]
         _write_csv(written["figure1"], ["mu1", "mu2", "p1", "p2", "N", "indicator", "similarity"],
                    text=[rows for _, rows in encoded])
         with open(written["records"], "w") as handle:
@@ -227,8 +227,8 @@ def emit_reports(report: SweepReport, config: RunConfig, outdir: Path) -> dict:
             "mu_values": list(config.mu_values),
             "p_values": list(config.p_values),
             "n_values": list(config.n_values),
-            "configurations": len(report.records),
-            "total_draws": total_draws([r.params for r in report.records]),
+            "configurations": len(summaries),
+            "total_draws": total_draws([s.params for s in summaries]),
         })
     except OSError as exc:
         raise RuntimeError(f"failed writing {exc.filename}: {exc.strerror}") from exc
@@ -311,9 +311,8 @@ def _execute(config: RunConfig) -> None:
         "running %d configurations, %d replicates each (%.3g draws total)",
         len(grid), config.replicates, total_draws(grid),
     )
-    summaries = run_sweep(grid, config.master_seed, processes=config.threads)
-    report = summarize(summaries)
-    written = emit_reports(report, config, outdir)
+    written = emit_reports(run_sweep(grid, config.master_seed, processes=config.threads),
+                           config, outdir)
     for name, path in sorted(written.items()):
         log.info("wrote %s", path)
 

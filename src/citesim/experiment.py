@@ -28,15 +28,14 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .distribution import count_table, rest_of_world_location, sample_histograms, table_top
 from .indicators import TOP_SHARES, tie_credit
-from .intervals import (empirical_limits, limit_discrepancies, log_mean_limits,
-                        proportion_limits, similarities)
+from .intervals import empirical_limits, formula_limits, limit_discrepancies, similarities
 
 __all__ = [
     "INDICATOR_NAMES",
@@ -47,7 +46,6 @@ __all__ = [
     "ConfigSummary",
     "Table1Cell",
     "Table2Row",
-    "SweepReport",
     "derive_seed",
     "validate_grid",
     "generate_grid",
@@ -445,10 +443,7 @@ def run_config(ps: ParameterSet, master_seed: int) -> ConfigSummary:
     empirical = limits.copy()
     empirical[:, 1] = [[math.expm1(v) for v in pair] for pair in limits[:, 1].tolist()]
     model = limits[:, 1:]
-    formula = np.concatenate([
-        log_mean_limits(means[:, 1], means[:, 5], sizes)[:, None],
-        proportion_limits(means[:, 2:5], sizes[:, None]),
-    ], axis=1)
+    formula = formula_limits(means[:, 1:5], means[:, 5], sizes)
     return ConfigSummary(ps, mean, empirical, model, formula,
                          limit_discrepancies(model, formula), similarities(mean, empirical))
 
@@ -529,28 +524,16 @@ class Table2Row:
     n: int
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """Aggregated sweep output.
+def summarize(records) -> tuple[dict, dict]:
+    """Fold per-configuration summaries into the report tables (table1, table2).
 
-    table1 maps (n_world, indicator) to a similarity-below-1 count;
-    table2 maps (indicator, side, n_world) to discrepancy statistics, where
-    the per-configuration value averages the two countries.  Both are in
-    the order table1.csv and table2.csv list them: by N, then indicator,
-    then limit side; a table2 row with no value is absent.
+    table1 maps (n_world, indicator) to a similarity-below-1 count; table2
+    maps (indicator, side, n_world) to discrepancy statistics over the
+    configurations' two-country means, skipping NaN discrepancies
+    (degenerate modelled intervals).  Both are in the order table1.csv and
+    table2.csv list them, by N, indicator and limit side; a table2 row
+    with no value is absent.
     """
-
-    table1: dict[tuple[int, str], Table1Cell]
-    table2: dict[tuple[str, str, int], Table2Row]
-    records: list[ConfigSummary] = field(default_factory=list)
-
-
-def summarize(records) -> SweepReport:
-    """Fold per-configuration summaries into the two report tables.
-
-    NaN discrepancies (degenerate modelled intervals) are skipped.
-    """
-    records = list(records)
     n_values = sorted({r.params.n_world for r in records})
 
     table1: dict[tuple[int, str], Table1Cell] = {}
@@ -579,4 +562,4 @@ def summarize(records) -> SweepReport:
                     sd=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
                     n=arr.size,
                 )
-    return SweepReport(table1=table1, table2=table2, records=records)
+    return table1, table2

@@ -22,8 +22,7 @@ from ._special import ndtri, stdtrit
 
 __all__ = [
     "empirical_limits",
-    "log_mean_limits",
-    "proportion_limits",
+    "formula_limits",
     "similarities",
     "limit_discrepancies",
 ]
@@ -54,39 +53,27 @@ def empirical_limits(stats) -> np.ndarray:
     return values[..., [rank - 1, n - rank]]
 
 
-def log_mean_limits(mean, sd, n) -> np.ndarray:
-    """t interval limits [..., (lower, upper)] for the mean of y = ln(1 + c).
+def formula_limits(centres, log_sd, n) -> np.ndarray:
+    """Closed-form 95% limits [..., k, (lower, upper)] of centres [..., k].
 
-    mean +/- t_{a/2, n-1} * sd / sqrt(n), with sd the n-1 sample standard
-    deviation of y over n observations; the arguments broadcast.
+    Column 0 is the mean of y = ln(1 + c): mean +/- t_{a/2, n-1} * log_sd /
+    sqrt(n), with log_sd the n-1 sample sd of y.  Each later column is a
+    proportion p: p +/- z * sqrt(p(1-p)/n), without continuity correction
+    and deliberately not clamped to [0, 1], as clamping would hide the
+    formula's failures near the boundaries.  log_sd and n broadcast
+    against centres' leading axes.
     """
+    centres = np.asarray(centres, dtype=np.float64)
     n = np.asarray(n)
+    p = centres[..., 1:]
     if n.min() < 2:
         raise ValueError("need at least two observations for a sample standard deviation")
-    half = stdtrit(n - 1, _UPPER_QUANTILE) * sd / np.sqrt(n)
-    return _centred(mean, half)
-
-
-def proportion_limits(p, n) -> np.ndarray:
-    """Normal approximation limits [..., (lower, upper)], p +/- z * sqrt(p(1-p)/n).
-
-    The limits are deliberately not clamped to [0, 1]: the raw formula is
-    what gets compared against the modelled intervals, and clamping would
-    hide its failures near the boundaries.  No continuity correction.  The
-    arguments broadcast.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if not (p.min() >= 0.0 and p.max() <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if np.asarray(n).min() < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    half = _Z_UPPER * np.sqrt(p * (1.0 - p) / n)
-    return _centred(p, half)
-
-
-def _centred(centre, half) -> np.ndarray:
-    """Limits [..., (centre - half, centre + half)]."""
-    return np.asarray(centre)[..., None] + np.multiply.outer(half, _SIDES)
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise ValueError(f"proportions must lie in [0, 1], got {p}")
+    half = np.empty_like(centres)
+    half[..., 0] = stdtrit(n - 1, _UPPER_QUANTILE) * log_sd / np.sqrt(n)
+    half[..., 1:] = _Z_UPPER * np.sqrt(p * (1.0 - p) / n[..., None])
+    return centres[..., None] + half[..., None] * _SIDES
 
 
 def similarities(means, limits) -> np.ndarray:

@@ -26,6 +26,10 @@ the reference it is checked against:
 - `pmf` and `cdf` give the discretised lognormal from `scipy.stats`'
   normal upper tail; they share no code with `distribution.count_table`.
 - `chi_square_gof` checks a sampler's histograms against `pmf`/`cdf`.
+
+`fake_summary` is no oracle: it builds a `ConfigSummary` from chosen
+similarity scores and discrepancies, without sampling, for the tests of
+the fold into tables and of the artifact writer.
 """
 
 import math
@@ -35,7 +39,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import stats as sps
 
-from citesim.experiment import _world_blocks
+from citesim.experiment import (FORMULA_INDICATOR_NAMES, INDICATOR_NAMES, ConfigSummary,
+                                ParameterSet, _world_blocks)
 from citesim.indicators import TOP_SHARES
 
 COUNTRY_1, COUNTRY_2, REST = 0, 1, 2
@@ -256,3 +261,21 @@ def chi_square_gof(table_counts, tail, mu, sigma, top_bin=100):
     stat = float(((observed[:top_bin] - expected) ** 2 / expected).sum())
     stat += float((observed[top_bin] - tail_expected) ** 2 / tail_expected)
     return stat, top_bin
+
+
+def fake_summary(n_world, sims, discrepancy=(0.1, -0.05)):
+    """A ConfigSummary at world size n_world with the similarity scores sims
+    (by indicator name) and the same (lower, upper) discrepancy in every
+    formula cell; its other arrays are placeholders."""
+    ps = ParameterSet(mu1=0.9, mu2=1.0, p1=0.1, p2=0.1, n_world=n_world, replicates=1000)
+    n_formula = len(FORMULA_INDICATOR_NAMES)
+    unit = np.tile([0.0, 1.0], (2, n_formula, 1))
+    return ConfigSummary(
+        ps,
+        mean=np.full((2, len(INDICATOR_NAMES)), 0.5),
+        empirical=np.tile([0.0, 1.0], (2, len(INDICATOR_NAMES), 1)),
+        model=unit,
+        formula=unit.copy(),
+        discrepancy=np.tile(np.asarray(discrepancy, dtype=float), (2, n_formula, 1)),
+        similarity=np.array([sims[name] for name in INDICATOR_NAMES]),
+    )

@@ -25,7 +25,7 @@ from citesim.experiment import (
     summarize,
 )
 from citesim.indicators import tie_credit
-from citesim.intervals import empirical_limits, proportion_limits, similarities
+from citesim.intervals import empirical_limits, formula_limits, similarities
 from helpers import chi_square_gof, credit_oracle, mixture_mean
 
 MASTER_SEED = 1
@@ -39,13 +39,13 @@ def _pass(number, message):
 
 
 @pytest.fixture(scope="session")
-def n5000_r1000_report():
+def n5000_r1000_tables():
     grid = generate_grid(n_values=(5000,), replicates=1000)
     return summarize(run_sweep(grid, MASTER_SEED, processes=0))
 
 
 @pytest.fixture(scope="session")
-def n500_r1000_report():
+def n500_r1000_tables():
     grid = generate_grid(n_values=(500,), replicates=1000)
     return summarize(run_sweep(grid, MASTER_SEED, processes=0))
 
@@ -117,19 +117,19 @@ def test_criterion_04_sampler_chi_square():
     _pass(4, f"chi-square {stat:.1f} < {critical:.1f} at alpha=0.001 over 101 bins ({elapsed:.1f}s)")
 
 
-def test_criterion_05_desk_scale_ordering_and_reference_counts(n5000_r1000_report):
+def test_criterion_05_desk_scale_ordering_and_reference_counts(n5000_r1000_tables):
     start = time.perf_counter()
     grid = generate_grid(n_values=(5000,), replicates=200)
-    desk = summarize(run_sweep(grid, MASTER_SEED, processes=1))
+    desk_table1, _ = summarize(run_sweep(grid, MASTER_SEED, processes=1))
     elapsed = time.perf_counter() - start
-    counts = {name: desk.table1[(5000, name)].count for name in INDICATOR_NAMES}
+    counts = {name: desk_table1[(5000, name)].count for name in INDICATOR_NAMES}
     assert (
         counts["geo"] > counts["top50"] > counts["arith"] > counts["top10"] > counts["top1"]
     ), counts
     assert elapsed < 900.0
 
     full = {
-        name: n5000_r1000_report.table1[(5000, name)].count for name in INDICATOR_NAMES
+        name: n5000_r1000_tables[0][(5000, name)].count for name in INDICATOR_NAMES
     }
     for name, reference in REFERENCE_COUNTS_N5000.items():
         if name == "top1":
@@ -145,11 +145,11 @@ def test_criterion_05_desk_scale_ordering_and_reference_counts(n5000_r1000_repor
     )
 
 
-def test_criterion_06_geometric_interval_accuracy(n500_r1000_report, n5000_r1000_report):
+def test_criterion_06_geometric_interval_accuracy(n500_r1000_tables, n5000_r1000_tables):
     checked = []
-    for n_world, report in ((500, n500_r1000_report), (5000, n5000_r1000_report)):
+    for n_world, (_, table2) in ((500, n500_r1000_tables), (5000, n5000_r1000_tables)):
         for side in ("lower", "upper"):
-            row = report.table2[("geo", side, n_world)]
+            row = table2[("geo", side, n_world)]
             assert -0.02 <= row.mean <= 0.03, (n_world, side, row.mean)
             assert abs(row.minimum) <= 0.12, (n_world, side, row.minimum)
             assert abs(row.maximum) <= 0.12, (n_world, side, row.maximum)
@@ -157,8 +157,8 @@ def test_criterion_06_geometric_interval_accuracy(n500_r1000_report, n5000_r1000
     _pass(6, "log-scale geometric discrepancies in band: " + "; ".join(checked))
 
 
-def test_criterion_07_percentile_interval_conservatism(n500_r1000_report):
-    table2 = n500_r1000_report.table2
+def test_criterion_07_percentile_interval_conservatism(n500_r1000_tables):
+    _, table2 = n500_r1000_tables
     top1_lower = table2[("top1", "lower", 500)].mean
     top50_lower = table2[("top50", "lower", 500)].mean
     worst_upper_min = min(
@@ -254,8 +254,8 @@ def test_criterion_10_interval_property_suite():
     for numerator in range(0, 1025, 8):
         p = numerator / 1024.0
         for n in (25, 500, 12_345):
-            lower, upper = proportion_limits(p, n)
-            mirrored_lower, mirrored_upper = proportion_limits(1.0 - p, n)
+            lower, upper = formula_limits([0.0, p], 0.0, n)[1]
+            mirrored_lower, mirrored_upper = formula_limits([0.0, 1.0 - p], 0.0, n)[1]
             assert lower == pytest.approx(1.0 - mirrored_upper, abs=1e-12)
             assert upper == pytest.approx(1.0 - mirrored_lower, abs=1e-12)
 

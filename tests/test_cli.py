@@ -23,13 +23,11 @@ from citesim.cli import ConfigError, RunConfig, _build_parser, emit_reports, mai
 from citesim.experiment import (
     INDICATOR_NAMES,
     FORMULA_INDICATOR_NAMES,
-    SweepReport,
-    Table1Cell,
-    Table2Row,
     _fmt,
     generate_grid,
     run_config,
 )
+from helpers import fake_summary
 
 ALL_N = (500, 1000, 5000, 10000, 50000)
 
@@ -175,8 +173,9 @@ class TestSurface:
             experiment.run_config: ["ps", "master_seed"],
             experiment.derive_seed: ["master_seed", "config_index"],
             intervals.empirical_limits: ["stats"],
-            intervals.log_mean_limits: ["mean", "sd", "n"],
-            intervals.proportion_limits: ["p", "n"],
+            intervals.formula_limits: ["centres", "log_sd", "n"],
+            experiment.summarize: ["records"],
+            emit_reports: ["summaries", "config", "outdir"],
         }
         for function, names in signatures.items():
             assert list(inspect.signature(function).parameters) == names, function.__name__
@@ -223,36 +222,33 @@ class TestSurface:
         assert result.stdout.strip() == "[]"
 
 
-def synthetic_report():
-    table1 = {
-        (n, name): Table1Cell(count=i, total=1375)
-        for n in ALL_N
-        for i, name in enumerate(INDICATOR_NAMES)
-    }
-    table2 = {
-        (name, side, n): Table2Row(-0.1, 0.9, 0.05, 0.2, 1375)
-        for n in ALL_N
-        for name in FORMULA_INDICATOR_NAMES
-        for side in ("lower", "upper")
-    }
-    return SweepReport(table1=table1, table2=table2, records=[])
+def synthetic_summaries():
+    """One configuration per standard world size, scoring below 1 on geo only."""
+    sims = {name: 1.5 for name in INDICATOR_NAMES}
+    sims["geo"] = 0.5
+    return [fake_summary(n, sims) for n in ALL_N]
 
 
 class TestEmitReports:
     def test_table_shapes_for_standard_grid(self, tmp_path):
-        written = emit_reports(synthetic_report(), RunConfig(), tmp_path)
+        written = emit_reports(synthetic_summaries(), RunConfig(), tmp_path)
         table1 = read_csv(written["table1"])
         assert table1[0] == ["N", "indicator", "count", "percent"]
         assert len(table1) - 1 == 25  # 5 sizes x 5 indicators
+        assert [row[:3] for row in table1[1:3]] == [["500", "arith", "0"], ["500", "geo", "1"]]
         table2 = read_csv(written["table2"])
         assert len(table2) - 1 == 40  # (geo + 3 top shares) x 2 limits x 5 sizes
         assert {row[0] for row in table2[1:]} == set(FORMULA_INDICATOR_NAMES)
+        assert len(read_csv(written["figure1"])) - 1 == 25  # 5 configurations x 5 indicators
+        assert len(written["records"].read_text().splitlines()) == 5
 
     def test_manifest_contents(self, tmp_path):
-        written = emit_reports(synthetic_report(), RunConfig(master_seed=17), tmp_path)
+        written = emit_reports(synthetic_summaries(), RunConfig(master_seed=17), tmp_path)
         manifest = json.loads(written["manifest"].read_text())
         assert manifest["master_seed"] == 17
         assert manifest["n_values"] == list(ALL_N)
+        assert manifest["configurations"] == 5
+        assert manifest["total_draws"] == 1000 * sum(ALL_N)
         assert "version" in manifest
         assert manifest["stream_version"] == 2
         assert manifest["numpy_version"] == np.__version__

@@ -30,7 +30,7 @@ from citesim.experiment import (
     total_draws,
 )
 from citesim.indicators import TOP_SHARES, tie_credit
-from citesim.intervals import log_mean_limits
+from citesim.intervals import formula_limits
 from helpers import (
     COUNTRY_1,
     COUNTRY_2,
@@ -41,6 +41,7 @@ from helpers import (
     credit_oracle,
     discrepancy_oracle,
     empirical_oracle,
+    fake_summary,
     normal_interval_oracle,
     replicate_world,
     similarity_oracle,
@@ -315,7 +316,7 @@ class TestReplicateStatistics:
         stats = replicate_statistics(SMALL, master_seed=7)
         n1 = SMALL.country_sizes()[0]
         y = np.log1p(replicate_world(SMALL, 7, 0)[:n1])
-        lower, upper = log_mean_limits(float(y.mean()), float(y.std(ddof=1)), n1)
+        lower, upper = formula_limits([float(y.mean())], float(y.std(ddof=1)), n1)[0]
         t_q = sps.t.ppf(0.975, n1 - 1)
         half = t_q * stats[0, ROW["log_sd"], 0] / math.sqrt(n1)
         assert lower == pytest.approx(stats[0, ROW["log_mean"], 0] - half, rel=1e-12)
@@ -492,40 +493,24 @@ class TestSweep:
         assert re.fullmatch(pattern, lines[-1]).group(3) == "0"
 
 
-def _fake_summary(n_world, sims, discrepancy=(0.1, -0.05)):
-    ps = ParameterSet(mu1=0.9, mu2=1.0, p1=0.1, p2=0.1, n_world=n_world, replicates=1000)
-    n_formula = len(FORMULA_INDICATOR_NAMES)
-    unit = np.tile([0.0, 1.0], (2, n_formula, 1))
-    return ConfigSummary(
-        ps,
-        mean=np.full((2, len(INDICATOR_NAMES)), 0.5),
-        empirical=np.tile([0.0, 1.0], (2, len(INDICATOR_NAMES), 1)),
-        model=unit,
-        formula=unit.copy(),
-        discrepancy=np.tile(np.asarray(discrepancy, dtype=float), (2, n_formula, 1)),
-        similarity=np.array([sims[name] for name in INDICATOR_NAMES]),
-    )
-
-
 class TestSummarize:
     def test_empty_rows(self):
-        report = summarize([])
-        assert report.table1 == {} and report.table2 == {} and report.records == []
+        assert summarize([]) == ({}, {})
 
     def test_single_hit_counted_once(self):
         sims = {name: 1.2 for name in INDICATOR_NAMES}
         sims["geo"] = 0.99
-        report = summarize([_fake_summary(500, sims)])
-        assert report.table1[(500, "geo")].count == 1
-        assert report.table1[(500, "arith")].count == 0
-        assert report.table1[(500, "geo")].total == 1
+        table1, _ = summarize([fake_summary(500, sims)])
+        assert table1[(500, "geo")].count == 1
+        assert table1[(500, "arith")].count == 0
+        assert table1[(500, "geo")].total == 1
 
     def test_discrepancy_statistics(self):
         rows = [
-            _fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(0.2, 0.0)),
-            _fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(0.4, 0.1)),
+            fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(0.2, 0.0)),
+            fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(0.4, 0.1)),
         ]
-        cell = summarize(rows).table2[("geo", "lower", 500)]
+        cell = summarize(rows)[1][("geo", "lower", 500)]
         assert cell.mean == pytest.approx(0.3)
         assert (cell.minimum, cell.maximum) == (0.2, 0.4)
         assert cell.sd == pytest.approx(np.std([0.2, 0.4], ddof=1))
@@ -533,16 +518,16 @@ class TestSummarize:
 
     def test_nan_discrepancies_skipped(self):
         rows = [
-            _fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(math.nan, math.nan)),
-            _fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(0.4, 0.1)),
+            fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(math.nan, math.nan)),
+            fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(0.4, 0.1)),
         ]
-        cell = summarize(rows).table2[("geo", "lower", 500)]
+        cell = summarize(rows)[1][("geo", "lower", 500)]
         assert cell.mean == pytest.approx(0.4)
         assert cell.n == 1
 
     def test_percent_rounding(self):
         sims_hit = {name: 0.5 for name in INDICATOR_NAMES}
         sims_miss = {name: 1.5 for name in INDICATOR_NAMES}
-        rows = [_fake_summary(500, sims_hit)] + [_fake_summary(500, sims_miss)] * 2
-        cell = summarize(rows).table1[(500, "geo")]
+        rows = [fake_summary(500, sims_hit)] + [fake_summary(500, sims_miss)] * 2
+        cell = summarize(rows)[0][(500, "geo")]
         assert (cell.count, cell.total, cell.percent) == (1, 3, 33)

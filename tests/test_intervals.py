@@ -10,9 +10,8 @@ from scipy import stats as sps
 
 from citesim.intervals import (
     empirical_limits,
+    formula_limits,
     limit_discrepancies,
-    log_mean_limits,
-    proportion_limits,
     similarities,
 )
 
@@ -54,10 +53,32 @@ class TestEmpiricalInterval:
         assert inside >= math.ceil(0.95 * arr.size)
 
 
+def _log_mean_limits(mean, sd, n):
+    """formula_limits' t interval (column 0) for one mean of ln(1 + c)."""
+    return formula_limits([mean], sd, n)[0]
+
+
+def _proportion_limits(p, n):
+    """formula_limits' normal interval (a later column) for one proportion."""
+    return formula_limits([0.0, p], 0.0, n)[1]
+
+
+class TestFormulaLimits:
+    def test_columns_are_the_one_case_intervals(self):
+        centres = np.array([[1.2, 0.01, 0.1, 0.5], [1.4, 0.02, 0.12, 0.55]])
+        sd, n = np.array([0.9, 1.1]), np.array([100, 50])
+        limits = formula_limits(centres, sd, n)
+        assert limits.shape == (2, 4, 2)
+        for i in (0, 1):
+            assert limits[i, 0].tolist() == _log_mean_limits(centres[i, 0], sd[i], n[i]).tolist()
+            for k in (1, 2, 3):
+                assert limits[i, k].tolist() == _proportion_limits(centres[i, k], n[i]).tolist()
+
+
 class TestLogMeanInterval:
     def test_constant_counts_collapse(self):
         y = np.log1p([4] * 50)
-        lower, upper = log_mean_limits(float(y.mean()), float(y.std(ddof=1)), y.size)
+        lower, upper = _log_mean_limits(float(y.mean()), float(y.std(ddof=1)), y.size)
         assert lower == upper == pytest.approx(math.log(5.0))
 
     def test_t_quantile_reference_value(self):
@@ -69,14 +90,14 @@ class TestLogMeanInterval:
         counts = rng.integers(0, 40, size=100)
         y = np.log1p(counts)
         expected = sps.t.interval(0.95, 99, loc=y.mean(), scale=y.std(ddof=1) / 10.0)
-        limits = log_mean_limits(float(y.mean()), float(y.std(ddof=1)), y.size)
+        limits = _log_mean_limits(float(y.mean()), float(y.std(ddof=1)), y.size)
         assert tuple(limits) == pytest.approx(expected, rel=1e-12)
 
     def test_half_width_approaches_normal_limit(self):
         rng = np.random.default_rng(9)
         counts = rng.integers(0, 30, size=100_000)
         y = np.log1p(counts)
-        lower, upper = log_mean_limits(float(y.mean()), float(y.std(ddof=1)), y.size)
+        lower, upper = _log_mean_limits(float(y.mean()), float(y.std(ddof=1)), y.size)
         half = (upper - lower) / 2.0
         assert half == pytest.approx(1.96 * y.std(ddof=1) / math.sqrt(y.size), rel=1e-3)
 
@@ -94,45 +115,49 @@ class TestLogMeanInterval:
         ratio = width_small.mean() / width_big.mean()
         assert ratio == pytest.approx(2.0, rel=0.1)
         # spot-check the vectorised arithmetic against the library
-        lower, upper = log_mean_limits(float(small[0].mean()), float(small[0].std(ddof=1)), n)
+        lower, upper = _log_mean_limits(float(small[0].mean()), float(small[0].std(ddof=1)), n)
         assert upper - lower == pytest.approx(width_small[0], rel=1e-9)
 
     def test_needs_two_observations(self):
         with pytest.raises(ValueError):
-            log_mean_limits(math.log(4.0), 0.0, 1)
+            _log_mean_limits(math.log(4.0), 0.0, 1)
 
 
 class TestProportionInterval:
     def test_degenerate_at_zero(self):
-        assert proportion_limits(0.0, 50).tolist() == [0.0, 0.0]
+        assert _proportion_limits(0.0, 50).tolist() == [0.0, 0.0]
 
     def test_hand_computed_half_width(self):
         # 1.96 * sqrt(0.25 / 100) = 0.098
-        lower, upper = proportion_limits(0.5, 100)
+        lower, upper = _proportion_limits(0.5, 100)
         assert lower == pytest.approx(0.402, abs=1e-4)
         assert upper == pytest.approx(0.598, abs=1e-4)
 
     def test_width_vanishes_with_n(self):
-        widths = [np.diff(proportion_limits(0.5, n)).item() for n in (10, 1000, 100_000)]
+        widths = [np.diff(_proportion_limits(0.5, n)).item() for n in (10, 1000, 100_000)]
         assert widths[0] > widths[1] > widths[2]
         assert widths[2] < 0.01
 
     def test_limits_not_clamped(self):
-        assert proportion_limits(0.04, 25)[0] < 0.0
+        assert _proportion_limits(0.04, 25)[0] < 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            proportion_limits(1.2, 10)
+            _proportion_limits(1.2, 10)
         with pytest.raises(ValueError):
-            proportion_limits(0.5, 0)
+            _proportion_limits(math.nan, 10)
+        # every column takes n >= 2, the t interval's condition
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                _proportion_limits(0.5, n)
 
-    @given(st.integers(0, 1024), st.integers(1, 10_000))
+    @given(st.integers(0, 1024), st.integers(2, 10_000))
     @settings(max_examples=200, deadline=None)
     def test_reflection_symmetry(self, numerator, n):
         # dyadic p keeps both p and 1-p exactly representable
         p = numerator / 1024.0
-        lower, upper = proportion_limits(p, n)
-        mirrored_lower, mirrored_upper = proportion_limits(1.0 - p, n)
+        lower, upper = _proportion_limits(p, n)
+        mirrored_lower, mirrored_upper = _proportion_limits(1.0 - p, n)
         assert lower == pytest.approx(1.0 - mirrored_upper, abs=1e-12)
         assert upper == pytest.approx(1.0 - mirrored_lower, abs=1e-12)
 
