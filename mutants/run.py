@@ -43,6 +43,7 @@ class Mutant:
 
 EXPERIMENT = "src/citesim/experiment.py"
 T_EXPERIMENT = "tests/test_experiment.py"
+T_DISTRIBUTION = "tests/test_distribution.py"
 PIPELINE = f"{T_EXPERIMENT}::TestReplicateStatistics::test_matches_public_indicator_pipeline"
 INTERVAL_ORACLES = f"{T_EXPERIMENT}::TestRunConfig::test_arrays_match_the_interval_functions"
 INVALID_GRID = "tests/test_cli.py::TestExitCodes::test_invalid_grid_is_config_error"
@@ -230,13 +231,13 @@ MUTANTS = (
         "src/citesim/distribution.py",
         "    except OverflowError:\n",
         "    except ZeroDivisionError:\n",
-        (INVALID_GRID,),
+        (f"{T_DISTRIBUTION}::TestMixture::test_location_beyond_exp_range_is_value_error",),
     ),
     Mutant(
         "appendix_config: the rest-of-world solve dropped",
         "src/citesim/appendix_stats.py",
-        "    rest_of_world_location(mu_overall, mu, mu, ps.p1, ps.p2)\n",
-        "",
+        "    rest = rest_of_world_location(mu_overall, mu, mu, ps.p1, ps.p2)\n",
+        "    rest = mu\n",
         (INVALID_GRID,),
     ),
     Mutant(
@@ -252,6 +253,55 @@ MUTANTS = (
         '    return format(value, ".6g")\n',
         '    return format(value, ".7g")\n',
         (GOLDEN_SWEEP, "tests/test_cli.py::TestModes::test_golden_table4_hash"),
+    ),
+    Mutant(
+        "formula_limits: n, not n - 1, degrees of freedom",
+        "src/citesim/intervals.py",
+        "    half[..., 0] = stdtrit(n - 1, _UPPER_QUANTILE) * log_sd / np.sqrt(n)\n",
+        "    half[..., 0] = stdtrit(n, _UPPER_QUANTILE) * log_sd / np.sqrt(n)\n",
+        ("tests/test_intervals.py::TestLogMeanInterval::test_matches_scipy_interval",
+         INTERVAL_ORACLES),
+    ),
+    Mutant(
+        "check_locations: the low-location check dropped",
+        "src/citesim/distribution.py",
+        "    if not TABLE_TAIL_MASS * ndtr((low - _LOG_HALF) / sigma) > 0.0:\n",
+        "    if False:\n",
+        (f"{T_DISTRIBUTION}::TestCheckLocations::test_low_location_needs_mass_above_one_half",
+         INVALID_GRID),
+    ),
+    Mutant(
+        "validate_grid: the high bound taken as mu_values[-1] alone",
+        EXPERIMENT,
+        "max(mu_values[-1], mu_overall - math.log1p(-2 * q))",
+        "mu_values[-1]",
+        (INVALID_GRID,),
+    ),
+    Mutant(
+        "validate_grid: only the least demanding corner's rest location",
+        EXPERIMENT,
+        "            rests.append(rest_of_world_location(mu_overall, *pair, *shares))\n",
+        "            pass\n",
+        (INVALID_GRID,),
+    ),
+    Mutant(
+        "RunConfig.validate: validate_grid called again in every mode",
+        "src/citesim/cli.py",
+        "            if self.mode == \"sweep\":\n"
+        "                validate_grid(self.mu_values, self.p_values, self.n_values,\n"
+        "                              self.sigma, self.mu_overall, self.replicates)\n"
+        "            elif self.mode == \"appendix\":\n",
+        "            validate_grid(self.mu_values, self.p_values, self.n_values,\n"
+        "                          self.sigma, self.mu_overall, self.replicates)\n"
+        "            if self.mode == \"appendix\":\n",
+        ("tests/test_cli.py::TestExitCodes::test_grid_flags_are_read_in_sweep_mode_only",),
+    ),
+    Mutant(
+        "RunConfig.validate: an OverflowError escapes as a traceback",
+        "src/citesim/cli.py",
+        "        except (ValueError, OverflowError) as exc:\n",
+        "        except ValueError as exc:\n",
+        (INVALID_GRID,),
     ),
 )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import kolmogorov, ndtr
-from .distribution import rest_of_world_location
+from .distribution import check_locations, rest_of_world_location
 from .experiment import ParameterSet, replicate_statistics
 
 __all__ = [
@@ -190,13 +190,14 @@ def appendix_config(sigma: float = 1.0, mu_overall: float = 1.0,
                     replicates: int = 1000) -> ParameterSet:
     """The appendix demo's configuration: APPENDIX_DEMO's sizes and location.
 
-    Raises ValueError if no rest-of-world location keeps mu_overall.
+    Raises ValueError if no rest-of-world location keeps mu_overall or check_locations fails.
     """
     demo, mu = APPENDIX_DEMO, APPENDIX_DEMO["mu"]
     ps = ParameterSet(mu1=mu, mu2=mu, p1=demo["sample1_size"] / demo["world_size"],
                       p2=demo["sample2_size"] / demo["world_size"], n_world=demo["world_size"],
                       sigma=sigma, mu_overall=mu_overall, replicates=replicates)
-    rest_of_world_location(mu_overall, mu, mu, ps.p1, ps.p2)
+    rest = rest_of_world_location(mu_overall, mu, mu, ps.p1, ps.p2)
+    check_locations(min(mu, rest), max(mu, rest), sigma, replicates * ps.n_world)
     return ps
 
 

@@ -82,11 +82,12 @@ class RunConfig:
         if self.threads < 0:
             raise ConfigError("threads: must be >= 0 (0 selects every CPU this process may use)")
         try:
-            validate_grid(self.mu_values, self.p_values, self.n_values,
-                          self.sigma, self.mu_overall)
-            if self.mode == "appendix":
+            if self.mode == "sweep":
+                validate_grid(self.mu_values, self.p_values, self.n_values,
+                              self.sigma, self.mu_overall, self.replicates)
+            elif self.mode == "appendix":
                 appendix_config(self.sigma, self.mu_overall, self.replicates)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from None
         if self.output_dir.exists() and not self.output_dir.is_dir():
             raise ConfigError(f"output_dir: {self.output_dir} exists and is not a directory")

@@ -19,6 +19,7 @@ __all__ = [
     "count_table",
     "sample_histograms",
     "rest_of_world_location",
+    "check_locations",
 ]
 
 _LOG_HALF = math.log(0.5)
@@ -27,6 +28,9 @@ _LOG_HALF = math.log(0.5)
 # keeps both the table and the exact tail draws short.
 TABLE_TAIL_MASS = 1e-4
 MAX_TABLE_TOP = 4096
+# Counts become float64 histogram axes, which are exact only below COUNT_LIMIT.
+COUNT_LIMIT = 2.0**53
+COUNT_LIMIT_RISK = 1e-6  # the most counts at or above it that a run may expect
 
 
 def _upper_tail(x, mu, sigma: float):
@@ -72,8 +76,7 @@ def sample_histograms(mu: float, sigma: float, table: np.ndarray, n: int,
     u = 1.0 - rng.random(beyond_top)  # in (0, 1]
     beyond = ndtr((mu - math.log(top + 0.5)) / sigma)
     tail = np.floor(np.exp(mu - sigma * ndtri(u * beyond)) + 0.5)
-    # Counts become float64 histogram axes, which are exact only below 2**53.
-    if tail.max() >= 2.0**53:
+    if tail.max() >= COUNT_LIMIT:
         raise ValueError(f"drew a count of {tail.max():.3g}, at or above 2**53, "
                          f"where counts are no longer exact (sigma={sigma:g})")
     return hist, np.maximum(tail.astype(np.int64), top + 1)
@@ -107,3 +110,14 @@ def rest_of_world_location(mu_overall: float, mu1: float, mu2: float,
             f">= e^mu_overall = {math.exp(mu_overall):.6g}"
         )
     return math.log(arg / (1.0 - p1 - p2))
+
+
+def check_locations(low: float, high: float, sigma: float, draws) -> None:
+    """Raise ValueError unless locations in [low, high] keep mass above x = 0.5 and a table's
+    TABLE_TAIL_MASS cutoff, and draws counts expect at most COUNT_LIMIT_RISK >= COUNT_LIMIT."""
+    if not TABLE_TAIL_MASS * ndtr((low - _LOG_HALF) / sigma) > 0.0:
+        raise ValueError(f"location {low:g} leaves no mass above x = 0.5 at sigma={sigma:g}")
+    expected = draws * _upper_tail(COUNT_LIMIT - 0.5, high, sigma)
+    if not expected <= COUNT_LIMIT_RISK:
+        raise ValueError(f"location {high:g} at sigma={sigma:g} expects {expected:.3g} counts at "
+                         f"or above 2**53, where counts are inexact (limit {COUNT_LIMIT_RISK:g})")

@@ -33,7 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .distribution import count_table, rest_of_world_location, sample_histograms, table_top
+from .distribution import (check_locations, count_table, rest_of_world_location,
+                           sample_histograms, table_top)
 from .indicators import TOP_SHARES, tie_credit
 from .intervals import empirical_limits, formula_limits, limit_discrepancies, similarities
 
@@ -266,7 +267,7 @@ def generate_grid(
     mu_values = DEFAULT_MU_VALUES if mu_values is None else tuple(mu_values)
     p_values = DEFAULT_P_VALUES if p_values is None else tuple(p_values)
     n_values = DEFAULT_N_VALUES if n_values is None else tuple(n_values)
-    validate_grid(mu_values, p_values, n_values, sigma, mu_overall)
+    validate_grid(mu_values, p_values, n_values, sigma, mu_overall, replicates)
 
     sets: list[ParameterSet] = []
     for mu1 in mu_values:
@@ -290,7 +291,7 @@ def generate_grid(
 
 
 def validate_grid(mu_values, p_values, n_values, sigma: float = 1.0,
-                  mu_overall: float = 1.0) -> None:
+                  mu_overall: float = 1.0, replicates: int = 1000) -> None:
     """Raise ValueError for a grid that could not run, before any sampling.
 
     Each value list must be non-empty, finite and strictly increasing, with
@@ -299,7 +300,9 @@ def validate_grid(mu_values, p_values, n_values, sigma: float = 1.0,
     smallest countries, the largest shares the largest p1 + p2, and the
     smallest locations and shares the least demanding rest-of-world solve;
     if that one is infeasible, so is every configuration.  Other infeasible
-    configurations are skipped by generate_grid.
+    configurations are skipped by generate_grid.  check_locations bounds every
+    draw's location: below by the feasible corners' rest locations (locations
+    and shares at the ends of their grids), above by mu_overall - ln(1 - 2 max(p)).
     """
     for name, values in (("mu_values", mu_values), ("p_values", p_values),
                          ("n_values", n_values)):
@@ -311,13 +314,19 @@ def validate_grid(mu_values, p_values, n_values, sigma: float = 1.0,
             raise ValueError(f"{name}: values must be strictly increasing")
     if len(mu_values) < 2:
         raise ValueError("mu_values: need at least two locations to form mu1 < mu2")
-    (mu1, mu2), p = mu_values[:2], p_values[0]
-    for share in (p, p_values[-1]):
+    (mu1, mu2), p, q = mu_values[:2], p_values[0], p_values[-1]
+    for share in (p, q):
         ParameterSet(mu1, mu2, share, share, int(n_values[0]), sigma, mu_overall).country_sizes()
     try:
-        rest_of_world_location(mu_overall, mu1, mu2, p, p)
+        rests = [rest_of_world_location(mu_overall, mu1, mu2, p, p)]
     except ValueError as exc:
         raise ValueError(f"grid contains no feasible configurations: {exc}") from None
+    for pair, shares in itertools.product({mu_values[:2], mu_values[-2:]},
+                                          itertools.product((p, q), repeat=2)):
+        with contextlib.suppress(ValueError):  # generate_grid skips an infeasible one
+            rests.append(rest_of_world_location(mu_overall, *pair, *shares))
+    check_locations(min(mu1, *rests), max(mu_values[-1], mu_overall - math.log1p(-2 * q)), sigma,
+                    replicates * math.comb(len(mu_values), 2) * len(p_values) ** 2 * sum(n_values))
 
 
 def total_draws(param_sets) -> int:
@@ -528,11 +537,10 @@ def summarize(records) -> tuple[dict, dict]:
     """Fold per-configuration summaries into the report tables (table1, table2).
 
     table1 maps (n_world, indicator) to a similarity-below-1 count; table2
-    maps (indicator, side, n_world) to discrepancy statistics over the
-    configurations' two-country means, skipping NaN discrepancies
-    (degenerate modelled intervals).  Both are in the order table1.csv and
-    table2.csv list them, by N, indicator and limit side; a table2 row
-    with no value is absent.
+    maps (indicator, side, n_world) to statistics of the configurations'
+    two-country mean discrepancies, NaNs (degenerate modelled intervals)
+    skipped.  Both are in the order of table1.csv and table2.csv: by N,
+    indicator and limit side; a table2 row with no value is absent.
     """
     n_values = sorted({r.params.n_world for r in records})
 

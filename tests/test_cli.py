@@ -5,8 +5,10 @@ import dataclasses
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import logging
+import math
 import platform
 import re
 import shlex
@@ -16,10 +18,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import citesim
 from citesim import experiment, intervals
 from citesim.cli import ConfigError, RunConfig, _build_parser, emit_reports, main, parse_config
+from citesim.distribution import count_table, rest_of_world_location, table_top
 from citesim.experiment import (
     INDICATOR_NAMES,
     FORMULA_INDICATOR_NAMES,
@@ -443,6 +448,68 @@ class TestModes:
             )
 
 
+def _near_or_wide(near, wide):
+    """Mostly values near the accepted domain, and now and then any finite one."""
+    return st.integers(0, 7).flatmap(lambda k: wide if k == 7 else near)
+
+
+def _grid_values(near, wide, max_size):
+    return _near_or_wide(st.lists(near, min_size=2, max_size=max_size, unique=True),
+                         st.lists(wide, min_size=1, max_size=max_size, unique=True)).map(sorted)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_WIDE_INT = st.integers(-2**80, 2**80)
+
+
+def _arg(value):
+    # Positional notation: argparse takes "-1e+300" for an option, but "-1000..." for a number.
+    return np.format_float_positional(value, trim="-") if isinstance(value, float) else str(value)
+
+
+@st.composite
+def _sweep_argv(draw):
+    flags = {
+        "--mu-values": draw(_grid_values(st.floats(-60, 60), _FINITE, 4)),
+        "--p-values": draw(_grid_values(st.floats(0.01, 0.45), _FINITE, 3)),
+        "--n-values": draw(_grid_values(st.integers(200, 10**5), _WIDE_INT, 3)),
+        "--sigma": [draw(_near_or_wide(st.floats(1e-3, 10), _FINITE))],
+        "--mu-overall": [draw(_near_or_wide(st.floats(-60, 60), _FINITE))],
+        "--replicates": [draw(_near_or_wide(st.integers(40, 5000), _WIDE_INT))],
+    }
+    return ["sweep", *(item for flag, values in flags.items()
+                       for item in (flag, *map(_arg, values)))]
+
+
+class TestValidationClosure:
+    @given(_sweep_argv())
+    @settings(max_examples=1000, deadline=None)
+    def test_accepted_grids_have_samplable_corners(self, argv):
+        # parse_config alone, sampling nothing: a grid it accepts has, at
+        # every feasible corner (locations and shares at the ends of their
+        # grids), a finite rest-of-world location and a count table of
+        # finite, non-negative probabilities that sum to 1.  Below a sigma
+        # of about 1e-307 a z-score overflows to +-inf, which ndtr maps to
+        # 0 or 1 exactly, so overflow is allowed on the way.
+        with np.errstate(over="ignore"):
+            try:
+                config = parse_config(argv + ["--out", "unused"])
+            except ConfigError:
+                return
+            mus, shares = config.mu_values, (config.p_values[0], config.p_values[-1])
+            for (mu1, mu2), p1, p2 in itertools.product({mus[:2], mus[-2:]}, shares, shares):
+                try:
+                    rest = rest_of_world_location(config.mu_overall, mu1, mu2, p1, p2)
+                except ValueError:
+                    continue  # generate_grid skips an infeasible configuration
+                locations = (mu1, mu2, rest)
+                top = table_top(max(locations), config.sigma)
+                tables = count_table(locations, config.sigma, top)
+                assert math.isfinite(rest) and top >= 1, argv
+                assert np.isfinite(tables).all() and (tables >= 0).all(), argv
+                np.testing.assert_allclose(tables.sum(axis=-1), 1.0, err_msg=str(argv))
+
+
 class TestExitCodes:
     def test_config_error_is_one(self, capsys):
         assert main(["--replicates", "1"]) == 1
@@ -459,15 +526,41 @@ class TestExitCodes:
         ["--mu-overall", "1000"],
         ["--mu-values", "800", "801"],
         ["appendix", "--mu-overall", "-1"],
+        ["sweep", "--sigma", "1e300", "--p-values", "0.1", "--n-values", "100",
+         "--replicates", "40"],
+        ["--sigma", "20", "--mu-values", "0.9", "1.0", "--p-values", "0.1", "--n-values", "1000",
+         "--replicates", "40"],
+        ["appendix", "--sigma", "20", "--replicates", "40"],
+        ["--mu-overall", "700", "--p-values", "0.1", "--n-values", "100", "--replicates", "40"],
+        ["--mu-overall", "-30", "--mu-values", "-40", "-39", "--p-values", "0.1",
+         "--n-values", "100", "--replicates", "40"],
+        ["--mu-overall", "-700", "--mu-values", "-800", "-799", "--p-values", "0.1",
+         "--n-values", "100", "--replicates", "40"],
+        ["--mu-overall", "0", "--mu-values", "0", "0.5", "--p-values", "0.25", "0.375",
+         "--n-values", "200", "--sigma", "0.0625", "--replicates", "40"],
+        ["--n-values", str(10**400)],
     ], ids=["zero-world", "shares-over-one", "negative-share", "one-article-country",
             "single-location", "no-feasible-configuration", "infinite-sigma",
             "overall-location-overflows", "country-location-overflows",
-            "infeasible-appendix"])
+            "infeasible-appendix", "huge-sigma", "counts-beyond-2-53",
+            "appendix-counts-beyond-2-53", "overall-location-beyond-2-53",
+            "count-table-without-mass", "table-top-without-mass",
+            "corner-rest-location-without-mass", "world-size-beyond-float"])
     def test_invalid_grid_is_config_error(self, argv, tmp_path, capsys):
         # exit 1 comes only from parse_config, before anything is sampled
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, artifact", [
+        (["appendix", "--n-values", "0", "--replicates", "40"], "appendix.json"),
+        (["appendix", "--mu-values", "0.9", "2.5", "--p-values", "0.25", "--replicates", "40"],
+         "appendix.json"),
+        (["table4", "--n-values", "0"], "table4.csv"),
+    ], ids=["appendix-zero-world", "appendix-no-feasible-configuration", "table4-zero-world"])
+    def test_grid_flags_are_read_in_sweep_mode_only(self, argv, artifact, tmp_path):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert (tmp_path / artifact).exists()
 
     def test_unknown_mode_is_one(self):
         assert main(["tableX"]) == 1
@@ -491,16 +584,16 @@ class TestExitCodes:
             "run failed: config 1 (mu1=0.9 mu2=1 p1=0.1 p2=0.2 N=100): injected")
         assert any(rec.levelno == logging.DEBUG and rec.exc_info for rec in caplog.records)
 
-    def test_count_beyond_float_precision_is_two(self, tmp_path, caplog):
-        # --sigma 20 passes validation, but its tail draws reach past 2**53.
+    def test_count_beyond_float_precision_is_one(self, tmp_path, capsys):
+        # At --sigma 20 this run expects thousands of tail draws at or above
+        # 2**53, so validation refuses it before sampling.
         code = main(["--sigma", "20", "--mu-values", "0.9", "1.0", "--p-values", "0.1",
                      "--n-values", "1000", "--replicates", "40", "--threads", "1",
-                     "--out", str(tmp_path)])
-        assert code == 2
-        failed = [rec.getMessage() for rec in caplog.records
-                  if rec.getMessage().startswith("run failed")]
-        assert failed[0].startswith("run failed: config 0 (mu1=0.9 mu2=1 p1=0.1 p2=0.1 N=1000)")
-        assert "2**53" in failed[0]
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "sigma=20" in err and "2**53" in err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_is_two(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -10,6 +10,8 @@ from scipy import integrate
 from scipy import stats as sps
 
 from citesim.distribution import (
+    COUNT_LIMIT_RISK,
+    check_locations,
     count_table,
     rest_of_world_location,
     sample_histograms,
@@ -139,6 +141,27 @@ class TestSample:
         assert stat < sps.chi2.ppf(0.999, dof)
 
 
+class TestCheckLocations:
+    @pytest.mark.parametrize("high, sigma", [(1.22, 5.0), (30.0, 1.0), (1.0, 8.0)])
+    def test_expected_counts_beyond_2_53_bounded(self, high, sigma):
+        # scipy's upper tail: the chance that one draw rounds to 2**53 or more
+        beyond = (sps.norm.sf((math.log(2.0**53 - 0.5) - high) / sigma)
+                  / sps.norm.sf((math.log(0.5) - high) / sigma))
+        most = COUNT_LIMIT_RISK / beyond
+        check_locations(0.0, high, sigma, math.floor(most * 0.99))
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            check_locations(0.0, high, sigma, math.ceil(most * 1.01))
+
+    def test_low_location_needs_mass_above_one_half(self):
+        # At sigma 1 the mass above x = 0.5 is ndtr(low + ln 2): about 1e-319
+        # at low = -38.9, 2e-321 at -39, where 1e-4 of it (a count table's
+        # tail cutoff) underflows to 0, and 0 at -40.
+        check_locations(-38.9, 1.0, 1.0, 100)
+        for low in (-39.0, -40.0, -800.0):
+            with pytest.raises(ValueError, match="no mass above x = 0.5"):
+                check_locations(low, 1.0, 1.0, 100)
+
+
 class TestMixture:
     def test_identical_components_collapse(self):
         assert mixture_mean(1.0, 1.0, 1.0, 0.1, 0.3, 1.0) == pytest.approx(math.exp(1.5), rel=1e-14)
@@ -170,6 +193,14 @@ class TestMixture:
         expected = math.log((math.e - 0.5 * math.exp(1.1)) / 0.5)
         assert rest_of_world_location(1.0, 1.1, 1.1, 0.25, 0.25) == pytest.approx(
             expected, rel=1e-14)
+
+    @pytest.mark.parametrize("mu_overall, mu1, mu2", [(1000.0, 0.9, 1.0), (1.0, 800.0, 801.0)],
+                             ids=["overall", "countries"])
+    def test_location_beyond_exp_range_is_value_error(self, mu_overall, mu1, mu2):
+        # generate_grid skips a configuration on ValueError; an OverflowError
+        # would end the run instead.
+        with pytest.raises(ValueError, match="too large for e\\^mu"):
+            rest_of_world_location(mu_overall, mu1, mu2, 0.1, 0.1)
 
     def test_infeasible_mixture(self):
         with pytest.raises(ValueError, match="country means too large"):
