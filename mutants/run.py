@@ -278,7 +278,7 @@ MUTANTS = (
         (INVALID_GRID,),
     ),
     Mutant(
-        "validate_grid: only the least demanding corner's rest location",
+        "validate_grid: only the least demanding configuration's rest location",
         EXPERIMENT,
         "            rests.append(rest_of_world_location(mu_overall, *pair, *shares))\n",
         "            pass\n",

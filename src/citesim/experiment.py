@@ -301,8 +301,8 @@ def validate_grid(mu_values, p_values, n_values, sigma: float = 1.0,
     smallest locations and shares the least demanding rest-of-world solve;
     if that one is infeasible, so is every configuration.  Other infeasible
     configurations are skipped by generate_grid.  check_locations bounds every
-    draw's location: below by the feasible corners' rest locations (locations
-    and shares at the ends of their grids), above by mu_overall - ln(1 - 2 max(p)).
+    draw's location: below by the least location and every feasible rest-of-world
+    location solved, above by mu_overall - ln(1 - 2 max(p)), which no rest exceeds.
     """
     for name, values in (("mu_values", mu_values), ("p_values", p_values),
                          ("n_values", n_values)):
@@ -321,8 +321,8 @@ def validate_grid(mu_values, p_values, n_values, sigma: float = 1.0,
         rests = [rest_of_world_location(mu_overall, mu1, mu2, p, p)]
     except ValueError as exc:
         raise ValueError(f"grid contains no feasible configurations: {exc}") from None
-    for pair, shares in itertools.product({mu_values[:2], mu_values[-2:]},
-                                          itertools.product((p, q), repeat=2)):
+    for pair, shares in itertools.product(itertools.combinations(mu_values, 2),
+                                          itertools.product(p_values, repeat=2)):
         with contextlib.suppress(ValueError):  # generate_grid skips an infeasible one
             rests.append(rest_of_world_location(mu_overall, *pair, *shares))
     check_locations(min(mu1, *rests), max(mu_values[-1], mu_overall - math.log1p(-2 * q)), sigma,

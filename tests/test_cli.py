@@ -485,19 +485,18 @@ class TestValidationClosure:
     @given(_sweep_argv())
     @settings(max_examples=1000, deadline=None)
     def test_accepted_grids_have_samplable_corners(self, argv):
-        # parse_config alone, sampling nothing: a grid it accepts has, at
-        # every feasible corner (locations and shares at the ends of their
-        # grids), a finite rest-of-world location and a count table of
-        # finite, non-negative probabilities that sum to 1.  Below a sigma
-        # of about 1e-307 a z-score overflows to +-inf, which ndtr maps to
-        # 0 or 1 exactly, so overflow is allowed on the way.
+        # parse_config alone, sampling nothing: in a grid it accepts, every
+        # feasible configuration has a finite rest-of-world location and
+        # count tables of finite, non-negative probabilities that sum to 1.
+        # Below a sigma of about 1e-307 a z-score overflows to +-inf, which
+        # ndtr maps to 0 or 1 exactly, so overflow is allowed on the way.
         with np.errstate(over="ignore"):
             try:
                 config = parse_config(argv + ["--out", "unused"])
             except ConfigError:
                 return
-            mus, shares = config.mu_values, (config.p_values[0], config.p_values[-1])
-            for (mu1, mu2), p1, p2 in itertools.product({mus[:2], mus[-2:]}, shares, shares):
+            pairs = itertools.combinations(config.mu_values, 2)
+            for (mu1, mu2), p1, p2 in itertools.product(pairs, config.p_values, config.p_values):
                 try:
                     rest = rest_of_world_location(config.mu_overall, mu1, mu2, p1, p2)
                 except ValueError:
@@ -538,6 +537,8 @@ class TestExitCodes:
          "--n-values", "100", "--replicates", "40"],
         ["--mu-overall", "0", "--mu-values", "0", "0.5", "--p-values", "0.25", "0.375",
          "--n-values", "200", "--sigma", "0.0625", "--replicates", "40"],
+        ["--mu-overall", "0", "--mu-values", "0", "0.5", "--p-values", "0.25", "0.375", "0.4",
+         "--n-values", "200", "--sigma", "0.0625", "--replicates", "40"],
         ["--n-values", str(10**400)],
     ], ids=["zero-world", "shares-over-one", "negative-share", "one-article-country",
             "single-location", "no-feasible-configuration", "infinite-sigma",
@@ -545,7 +546,8 @@ class TestExitCodes:
             "infeasible-appendix", "huge-sigma", "counts-beyond-2-53",
             "appendix-counts-beyond-2-53", "overall-location-beyond-2-53",
             "count-table-without-mass", "table-top-without-mass",
-            "corner-rest-location-without-mass", "world-size-beyond-float"])
+            "corner-rest-location-without-mass", "inner-rest-location-without-mass",
+            "world-size-beyond-float"])
     def test_invalid_grid_is_config_error(self, argv, tmp_path, capsys):
         # exit 1 comes only from parse_config, before anything is sampled
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1

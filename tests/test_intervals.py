@@ -63,18 +63,6 @@ def _proportion_limits(p, n):
     return formula_limits([0.0, p], 0.0, n)[1]
 
 
-class TestFormulaLimits:
-    def test_columns_are_the_one_case_intervals(self):
-        centres = np.array([[1.2, 0.01, 0.1, 0.5], [1.4, 0.02, 0.12, 0.55]])
-        sd, n = np.array([0.9, 1.1]), np.array([100, 50])
-        limits = formula_limits(centres, sd, n)
-        assert limits.shape == (2, 4, 2)
-        for i in (0, 1):
-            assert limits[i, 0].tolist() == _log_mean_limits(centres[i, 0], sd[i], n[i]).tolist()
-            for k in (1, 2, 3):
-                assert limits[i, k].tolist() == _proportion_limits(centres[i, k], n[i]).tolist()
-
-
 class TestLogMeanInterval:
     def test_constant_counts_collapse(self):
         y = np.log1p([4] * 50)
