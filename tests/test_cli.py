@@ -484,7 +484,7 @@ def _sweep_argv(draw):
 class TestValidationClosure:
     @given(_sweep_argv())
     @settings(max_examples=1000, deadline=None)
-    def test_accepted_grids_have_samplable_corners(self, argv):
+    def test_accepted_grids_give_valid_count_tables(self, argv):
         # parse_config alone, sampling nothing: in a grid it accepts, every
         # feasible configuration has a finite rest-of-world location and
         # count tables of finite, non-negative probabilities that sum to 1.
