@@ -16,6 +16,7 @@ import logging
 import platform
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,6 @@ from .experiment import (
     run_sweep,
     summarize,
     total_draws,
-    validate_grid,
 )
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "emit_reports", "main"]
@@ -72,6 +72,13 @@ class RunConfig:
     threads: int = 0
     output_dir: Path = Path("results")
 
+    @cached_property
+    def grid(self) -> list:
+        """The sweep's configurations, built and checked once (generate_grid)."""
+        return generate_grid(mu_values=self.mu_values, p_values=self.p_values,
+                             n_values=self.n_values, sigma=self.sigma,
+                             mu_overall=self.mu_overall, replicates=self.replicates)
+
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {', '.join(MODES)}, got {self.mode!r}")
@@ -83,8 +90,7 @@ class RunConfig:
             raise ConfigError("threads: must be >= 0 (0 selects every CPU this process may use)")
         try:
             if self.mode == "sweep":
-                validate_grid(self.mu_values, self.p_values, self.n_values,
-                              self.sigma, self.mu_overall, self.replicates)
+                self.grid  # built and checked once, and _execute runs it
             elif self.mode == "appendix":
                 appendix_config(self.sigma, self.mu_overall, self.replicates)
         except (ValueError, OverflowError) as exc:
@@ -300,19 +306,9 @@ def _execute(config: RunConfig) -> None:
         log.info("wrote %s", path)
         return
 
-    grid = generate_grid(
-        mu_values=config.mu_values,
-        p_values=config.p_values,
-        n_values=config.n_values,
-        sigma=config.sigma,
-        mu_overall=config.mu_overall,
-        replicates=config.replicates,
-    )
-    log.info(
-        "running %d configurations, %d replicates each (%.3g draws total)",
-        len(grid), config.replicates, total_draws(grid),
-    )
-    written = emit_reports(run_sweep(grid, config.master_seed, processes=config.threads),
+    log.info("running %d configurations, %d replicates each (%.3g draws total)",
+             len(config.grid), config.replicates, total_draws(config.grid))
+    written = emit_reports(run_sweep(config.grid, config.master_seed, processes=config.threads),
                            config, outdir)
     for name, path in sorted(written.items()):
         log.info("wrote %s", path)

@@ -48,7 +48,6 @@ __all__ = [
     "Table1Cell",
     "Table2Row",
     "derive_seed",
-    "validate_grid",
     "generate_grid",
     "total_draws",
     "replicate_statistics",
@@ -260,50 +259,20 @@ def generate_grid(
     """Ordered list of configurations: (mu1 < mu2) pairs x (p1, p2) x N.
 
     Ordering is lexicographic in (mu1, mu2, p1, p2, N).  The default grids
-    produce exactly 6875 configurations.  A grid that validate_grid rejects
-    raises ValueError; configurations whose rest-of-world location is
-    infeasible are skipped with a warning.
+    produce exactly 6875 configurations.  A configuration whose rest-of-world
+    location is infeasible is skipped with a warning.
+
+    A grid that could not run raises ValueError, before any sampling.  Each
+    value list must be non-empty, finite and strictly increasing, with at
+    least two locations.  The smallest and the largest shares at the smallest
+    world bound the country sizes and p1 + p2.  The first configuration is the
+    least demanding rest-of-world solve: if it is infeasible, so is every one.
+    check_locations bounds the grid's locations and every rest location solved,
+    over the draws of the configurations kept.
     """
     mu_values = DEFAULT_MU_VALUES if mu_values is None else tuple(mu_values)
     p_values = DEFAULT_P_VALUES if p_values is None else tuple(p_values)
     n_values = DEFAULT_N_VALUES if n_values is None else tuple(n_values)
-    validate_grid(mu_values, p_values, n_values, sigma, mu_overall, replicates)
-
-    sets: list[ParameterSet] = []
-    for mu1 in mu_values:
-        for mu2 in mu_values:
-            if mu2 <= mu1:
-                continue
-            for p1 in p_values:
-                for p2 in p_values:
-                    try:
-                        rest_of_world_location(mu_overall, mu1, mu2, p1, p2)
-                    except ValueError as exc:
-                        log.warning(
-                            "skipping infeasible configuration mu1=%g mu2=%g p1=%g p2=%g: %s",
-                            mu1, mu2, p1, p2, exc,
-                        )
-                        continue
-                    for n_world in n_values:
-                        sets.append(ParameterSet(mu1, mu2, p1, p2, int(n_world), sigma,
-                                                 mu_overall, replicates, config_index=len(sets)))
-    return sets
-
-
-def validate_grid(mu_values, p_values, n_values, sigma: float = 1.0,
-                  mu_overall: float = 1.0, replicates: int = 1000) -> None:
-    """Raise ValueError for a grid that could not run, before any sampling.
-
-    Each value list must be non-empty, finite and strictly increasing, with
-    at least two locations to form mu1 < mu2.  Corner configurations then
-    bound the grid: the smallest shares at the smallest world give the
-    smallest countries, the largest shares the largest p1 + p2, and the
-    smallest locations and shares the least demanding rest-of-world solve;
-    if that one is infeasible, so is every configuration.  Other infeasible
-    configurations are skipped by generate_grid.  check_locations bounds every
-    draw's location: below by the least location and every feasible rest-of-world
-    location solved, above by mu_overall - ln(1 - 2 max(p)), which no rest exceeds.
-    """
     for name, values in (("mu_values", mu_values), ("p_values", p_values),
                          ("n_values", n_values)):
         if not values:
@@ -314,19 +283,27 @@ def validate_grid(mu_values, p_values, n_values, sigma: float = 1.0,
             raise ValueError(f"{name}: values must be strictly increasing")
     if len(mu_values) < 2:
         raise ValueError("mu_values: need at least two locations to form mu1 < mu2")
-    (mu1, mu2), p, q = mu_values[:2], p_values[0], p_values[-1]
-    for share in (p, q):
-        ParameterSet(mu1, mu2, share, share, int(n_values[0]), sigma, mu_overall).country_sizes()
-    try:
-        rests = [rest_of_world_location(mu_overall, mu1, mu2, p, p)]
-    except ValueError as exc:
-        raise ValueError(f"grid contains no feasible configurations: {exc}") from None
-    for pair, shares in itertools.product(itertools.combinations(mu_values, 2),
-                                          itertools.product(p_values, repeat=2)):
-        with contextlib.suppress(ValueError):  # generate_grid skips an infeasible one
-            rests.append(rest_of_world_location(mu_overall, *pair, *shares))
-    check_locations(min(mu1, *rests), max(mu_values[-1], mu_overall - math.log1p(-2 * q)), sigma,
-                    replicates * math.comb(len(mu_values), 2) * len(p_values) ** 2 * sum(n_values))
+    for share in (p_values[0], p_values[-1]):
+        ParameterSet(*mu_values[:2], share, share, int(n_values[0]), sigma,
+                     mu_overall).country_sizes()
+
+    sets: list[ParameterSet] = []
+    locations = list(mu_values)
+    for (mu1, mu2), p1, p2 in itertools.product(itertools.combinations(mu_values, 2),
+                                                p_values, p_values):
+        try:
+            locations.append(rest_of_world_location(mu_overall, mu1, mu2, p1, p2))
+        except ValueError as exc:
+            if not sets:
+                raise ValueError(f"grid contains no feasible configurations: {exc}") from None
+            log.warning("skipping infeasible configuration mu1=%g mu2=%g p1=%g p2=%g: %s",
+                        mu1, mu2, p1, p2, exc)
+            continue
+        for n_world in n_values:
+            sets.append(ParameterSet(mu1, mu2, p1, p2, int(n_world), sigma,
+                                     mu_overall, replicates, config_index=len(sets)))
+    check_locations(min(locations), max(locations), sigma, total_draws(sets))
+    return sets
 
 
 def total_draws(param_sets) -> int:
