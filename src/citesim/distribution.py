@@ -36,7 +36,9 @@ COUNT_LIMIT_RISK = 1e-6  # the most counts at or above it that a run may expect
 def _upper_tail(x, mu, sigma: float):
     """Lognormal mass above x over the mass above 0.5, from upper-tail normal
     probabilities ndtr(-z), which keep their relative precision far into the tail."""
-    return ndtr((mu - np.log(x)) / sigma) / ndtr((mu - _LOG_HALF) / sigma)
+    # A tiny sigma overflows a z-score to +-inf, which ndtr maps exactly to 0 or 1.
+    with np.errstate(over="ignore"):
+        return ndtr((mu - np.log(x)) / sigma) / ndtr((mu - _LOG_HALF) / sigma)
 
 
 def table_top(mu: float, sigma: float) -> int:

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import citesim
-from citesim import experiment, intervals
+from citesim import cli, experiment, intervals
 from citesim.cli import ConfigError, RunConfig, _build_parser, emit_reports, main, parse_config
 from citesim.distribution import count_table, rest_of_world_location, table_top
 from citesim.experiment import (
@@ -488,25 +488,22 @@ class TestValidationClosure:
         # parse_config alone, sampling nothing: in a grid it accepts, every
         # feasible configuration has a finite rest-of-world location and
         # count tables of finite, non-negative probabilities that sum to 1.
-        # Below a sigma of about 1e-307 a z-score overflows to +-inf, which
-        # ndtr maps to 0 or 1 exactly, so overflow is allowed on the way.
-        with np.errstate(over="ignore"):
+        try:
+            config = parse_config(argv + ["--out", "unused"])
+        except ConfigError:
+            return
+        pairs = itertools.combinations(config.mu_values, 2)
+        for (mu1, mu2), p1, p2 in itertools.product(pairs, config.p_values, config.p_values):
             try:
-                config = parse_config(argv + ["--out", "unused"])
-            except ConfigError:
-                return
-            pairs = itertools.combinations(config.mu_values, 2)
-            for (mu1, mu2), p1, p2 in itertools.product(pairs, config.p_values, config.p_values):
-                try:
-                    rest = rest_of_world_location(config.mu_overall, mu1, mu2, p1, p2)
-                except ValueError:
-                    continue  # generate_grid skips an infeasible configuration
-                locations = (mu1, mu2, rest)
-                top = table_top(max(locations), config.sigma)
-                tables = count_table(locations, config.sigma, top)
-                assert math.isfinite(rest) and top >= 1, argv
-                assert np.isfinite(tables).all() and (tables >= 0).all(), argv
-                np.testing.assert_allclose(tables.sum(axis=-1), 1.0, err_msg=str(argv))
+                rest = rest_of_world_location(config.mu_overall, mu1, mu2, p1, p2)
+            except ValueError:
+                continue  # generate_grid skips an infeasible configuration
+            locations = (mu1, mu2, rest)
+            top = table_top(max(locations), config.sigma)
+            tables = count_table(locations, config.sigma, top)
+            assert math.isfinite(rest) and top >= 1, argv
+            assert np.isfinite(tables).all() and (tables >= 0).all(), argv
+            np.testing.assert_allclose(tables.sum(axis=-1), 1.0, err_msg=str(argv))
 
 
 class TestExitCodes:
@@ -563,6 +560,49 @@ class TestExitCodes:
     def test_grid_flags_are_read_in_sweep_mode_only(self, argv, artifact, tmp_path):
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert (tmp_path / artifact).exists()
+
+    @pytest.mark.parametrize("argv, configurations", [
+        # 3 of the 9 share pairs are feasible.  Their 60,000 draws at location
+        # 2.88 expect 6.1e-7 counts at or above 2**53, inside the 1e-6 limit;
+        # all 9 pairs' 180,000 draws would expect 1.8e-6.
+        (["--mu-values", "1.73", "2.88", "--p-values", "0.06", "0.28", "0.31",
+          "--n-values", "500", "--sigma", "5.02", "--mu-overall", "1.45"], 3),
+        # The z-scores overflow to +-inf: point-mass count tables, and no warning.
+        (["--mu-values", "0.9", "1.0", "--p-values", "0.1", "--n-values", "200",
+          "--sigma", "1e-308"], 1),
+    ], ids=["exact-location-bound", "tiny-sigma"])
+    def test_accepted_grid_runs(self, argv, configurations, tmp_path):
+        assert main(["sweep", *argv, "--replicates", "40", "--threads", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "records.jsonl").read_text().splitlines()) == configurations
+
+    def test_sweep_builds_its_grid_once(self, tmp_path, monkeypatch, caplog):
+        # (1.0, 2.11) is the one infeasible pair at share 0.25.
+        calls = []
+        monkeypatch.setattr(cli, "generate_grid",
+                            lambda **grid: calls.append(grid) or experiment.generate_grid(**grid))
+        with caplog.at_level(logging.WARNING):
+            code = main(["--mu-values", "0.9", "1.0", "2.11", "--p-values", "0.25",
+                         "--n-values", "100", "--replicates", "40", "--threads", "1",
+                         "--out", str(tmp_path)])
+        assert code == 0 and len(calls) == 1
+        skipped = [rec.getMessage() for rec in caplog.records
+                   if rec.getMessage().startswith("skipping infeasible configuration")]
+        assert skipped == [skipped[0]] and "mu1=1 mu2=2.11" in skipped[0]
+        assert len((tmp_path / "records.jsonl").read_text().splitlines()) == 2
+
+    def test_grid_without_feasible_configuration_names_the_solver(self, tmp_path, capsys,
+                                                                  caplog):
+        # The first configuration is the least demanding solve, so its
+        # failure ends validation before any configuration is skipped.
+        with caplog.at_level(logging.WARNING):
+            code = main(["--mu-values", "2.5", "2.6", "2.7", "--p-values", "0.25", "0.3",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "no feasible configurations: country means too large" in err
+        assert not [rec for rec in caplog.records if "skipping" in rec.getMessage()]
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_mode_is_one(self):
         assert main(["tableX"]) == 1

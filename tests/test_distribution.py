@@ -161,6 +161,14 @@ class TestCheckLocations:
             with pytest.raises(ValueError, match="no mass above x = 0.5"):
                 check_locations(low, 1.0, 1.0, 100)
 
+    def test_tiny_sigma_overflows_to_a_point_mass_without_warning(self):
+        # At sigma 1e-308 the z-scores overflow to +-inf, which ndtr maps to
+        # 0 or 1 exactly: each location's mass sits on the count nearest
+        # e^mu, with no RuntimeWarning (an error under the pytest settings).
+        tables = count_table([0.9, 2.5], 1e-308, top=3)
+        np.testing.assert_array_equal(tables, [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        check_locations(0.9, 2.5, 1e-308, 100)
+
 
 class TestMixture:
     def test_identical_components_collapse(self):
