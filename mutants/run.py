@@ -271,30 +271,38 @@ MUTANTS = (
          INVALID_GRID),
     ),
     Mutant(
-        "validate_grid: the high bound taken as mu_values[-1] alone",
+        "generate_grid: rest locations left out of the location bounds",
         EXPERIMENT,
-        "max(mu_values[-1], mu_overall - math.log1p(-2 * q))",
-        "mu_values[-1]",
+        "            locations.append(rest_of_world_location(mu_overall, mu1, mu2, p1, p2))\n",
+        "            rest_of_world_location(mu_overall, mu1, mu2, p1, p2)\n",
         (INVALID_GRID,),
     ),
     Mutant(
-        "validate_grid: only the least demanding configuration's rest location",
+        "generate_grid: draws counted for every share pair, feasible or not",
         EXPERIMENT,
-        "            rests.append(rest_of_world_location(mu_overall, *pair, *shares))\n",
-        "            pass\n",
-        (INVALID_GRID,),
+        "    check_locations(min(locations), max(locations), sigma, total_draws(sets))\n",
+        "    check_locations(min(locations), max(locations), sigma,\n"
+        "                    total_draws(sets) * len(p_values) ** 2)\n",
+        ("tests/test_cli.py::TestExitCodes::test_accepted_grid_runs",),
     ),
     Mutant(
-        "RunConfig.validate: validate_grid called again in every mode",
+        "RunConfig.validate: the grid built in every mode",
         "src/citesim/cli.py",
         "            if self.mode == \"sweep\":\n"
-        "                validate_grid(self.mu_values, self.p_values, self.n_values,\n"
-        "                              self.sigma, self.mu_overall, self.replicates)\n"
+        "                self.grid  # built and checked once, and _execute runs it\n"
         "            elif self.mode == \"appendix\":\n",
-        "            validate_grid(self.mu_values, self.p_values, self.n_values,\n"
-        "                          self.sigma, self.mu_overall, self.replicates)\n"
+        "            self.grid\n"
         "            if self.mode == \"appendix\":\n",
         ("tests/test_cli.py::TestExitCodes::test_grid_flags_are_read_in_sweep_mode_only",),
+    ),
+    Mutant(
+        "_execute: the grid built again",
+        "src/citesim/cli.py",
+        "    log.info(\"running %d configurations, %d replicates each (%.3g draws total)\",\n",
+        "    config.grid = generate_grid(**{name: getattr(config, name) for name in (\n"
+        "        \"mu_values\", \"p_values\", \"n_values\", \"sigma\", \"mu_overall\", \"replicates\")})\n"
+        "    log.info(\"running %d configurations, %d replicates each (%.3g draws total)\",\n",
+        ("tests/test_cli.py::TestExitCodes::test_sweep_builds_its_grid_once",),
     ),
     Mutant(
         "RunConfig.validate: an OverflowError escapes as a traceback",
