@@ -578,14 +578,18 @@ class TestExitCodes:
 
     def test_sweep_builds_its_grid_once(self, tmp_path, monkeypatch, caplog):
         # (1.0, 2.11) is the one infeasible pair at share 0.25.
-        calls = []
+        calls, solves = [], []
         monkeypatch.setattr(cli, "generate_grid",
                             lambda **grid: calls.append(grid) or experiment.generate_grid(**grid))
+        monkeypatch.setattr(experiment, "rest_of_world_location",
+                            lambda *args: solves.append(args) or rest_of_world_location(*args))
         with caplog.at_level(logging.WARNING):
             code = main(["--mu-values", "0.9", "1.0", "2.11", "--p-values", "0.25",
                          "--n-values", "100", "--replicates", "40", "--threads", "1",
                          "--out", str(tmp_path)])
         assert code == 0 and len(calls) == 1
+        # One solve per (pair, shares) to build the grid, one per configuration run.
+        assert len(solves) == 3 + 2
         skipped = [rec.getMessage() for rec in caplog.records
                    if rec.getMessage().startswith("skipping infeasible configuration")]
         assert skipped == [skipped[0]] and "mu1=1 mu2=2.11" in skipped[0]
