@@ -48,6 +48,7 @@ PIPELINE = f"{T_EXPERIMENT}::TestReplicateStatistics::test_matches_public_indica
 INTERVAL_ORACLES = f"{T_EXPERIMENT}::TestRunConfig::test_arrays_match_the_interval_functions"
 INVALID_GRID = "tests/test_cli.py::TestExitCodes::test_invalid_grid_is_config_error"
 GOLDEN_SWEEP = "tests/test_cli.py::TestModes::test_golden_sweep_hashes"
+MEMORY_EDGE = f"{T_EXPERIMENT}::TestGrid::test_memory_bound_edge"
 
 MUTANTS = (
     Mutant(
@@ -234,10 +235,10 @@ MUTANTS = (
         (f"{T_DISTRIBUTION}::TestMixture::test_location_beyond_exp_range_is_value_error",),
     ),
     Mutant(
-        "appendix_config: the rest-of-world solve dropped",
+        "appendix_config: the rest-of-world location left out of the checks",
         "src/citesim/appendix_stats.py",
-        "    rest = rest_of_world_location(mu_overall, mu, mu, ps.p1, ps.p2)\n",
-        "    rest = mu\n",
+        "    check_configurations([ps], [mu, ps.mu0])\n",
+        "    check_configurations([ps], [mu])\n",
         (INVALID_GRID,),
     ),
     Mutant(
@@ -273,27 +274,59 @@ MUTANTS = (
     Mutant(
         "generate_grid: rest locations left out of the location bounds",
         EXPERIMENT,
-        "            locations.append(rest_of_world_location(mu_overall, mu1, mu2, p1, p2))\n",
-        "            rest_of_world_location(mu_overall, mu1, mu2, p1, p2)\n",
+        "        locations.append(mu0)\n",
+        "",
         (INVALID_GRID,),
     ),
     Mutant(
-        "generate_grid: draws counted for every share pair, feasible or not",
+        "generate_grid: each world size solves its rest location again",
         EXPERIMENT,
-        "    check_locations(min(locations), max(locations), sigma, total_draws(sets))\n",
-        "    check_locations(min(locations), max(locations), sigma,\n"
-        "                    total_draws(sets) * len(p_values) ** 2)\n",
+        "            ps.__dict__[\"mu0\"] = mu0\n",
+        "            ps.mu0\n",
+        (f"{T_EXPERIMENT}::TestGrid::test_one_solve_per_pair_and_shares",),
+    ),
+    Mutant(
+        "ParameterSet.mu0: a plain property, solved on every read",
+        EXPERIMENT,
+        "    @cached_property\n    def mu0(self) -> float:\n",
+        "    @property\n    def mu0(self) -> float:\n",
+        ("tests/test_cli.py::TestExitCodes::test_sweep_builds_its_grid_once",),
+    ),
+    Mutant(
+        "check_configurations: the draws counted three times over",
+        EXPERIMENT,
+        "    check_locations(min(locations), high, sigma, total_draws(sets))\n",
+        "    check_locations(min(locations), high, sigma, 3 * total_draws(sets))\n",
         ("tests/test_cli.py::TestExitCodes::test_accepted_grid_runs",),
     ),
     Mutant(
-        "RunConfig.validate: the grid built in every mode",
+        "check_configurations: the memory bound dropped",
+        EXPERIMENT,
+        "    if not largest <= MAX_ARRAY_VALUES:\n",
+        "    if False:\n",
+        (MEMORY_EDGE, INVALID_GRID),
+    ),
+    Mutant(
+        "check_configurations: the lumped cell always TABLE_TAIL_MASS",
+        EXPERIMENT,
+        "    lumped = max(TABLE_TAIL_MASS, float(_upper_tail(MAX_TABLE_TOP + 0.5, high, sigma)))\n",
+        "    lumped = TABLE_TAIL_MASS\n",
+        (f"{T_EXPERIMENT}::TestGrid::test_memory_bound_takes_the_mass_beyond_a_cut_table",),
+    ),
+    Mutant(
+        "RunConfig.grid: the sweep's grid built in every mode",
         "src/citesim/cli.py",
-        "            if self.mode == \"sweep\":\n"
-        "                self.grid  # built and checked once, and _execute runs it\n"
-        "            elif self.mode == \"appendix\":\n",
-        "            self.grid\n"
-        "            if self.mode == \"appendix\":\n",
+        "        if self.mode == \"sweep\":\n",
+        "        if True:\n",
         ("tests/test_cli.py::TestExitCodes::test_grid_flags_are_read_in_sweep_mode_only",),
+    ),
+    Mutant(
+        "_execute: the appendix configuration built again",
+        "src/citesim/cli.py",
+        "        payload = {**asdict(appendix_demo(config.grid[0], config.master_seed)),\n",
+        "        payload = {**asdict(appendix_demo(appendix_config(\n"
+        "            config.sigma, config.mu_overall, config.replicates), config.master_seed)),\n",
+        ("tests/test_cli.py::TestExitCodes::test_appendix_builds_its_configuration_once",),
     ),
     Mutant(
         "_execute: the grid built again",

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import kolmogorov, ndtr
-from .distribution import check_locations, rest_of_world_location
-from .experiment import ParameterSet, replicate_statistics
+from .experiment import ParameterSet, check_configurations, replicate_statistics
 
 __all__ = [
     "FrequencyTable",
@@ -190,36 +189,31 @@ def appendix_config(sigma: float = 1.0, mu_overall: float = 1.0,
                     replicates: int = 1000) -> ParameterSet:
     """The appendix demo's configuration: APPENDIX_DEMO's sizes and location.
 
-    Raises ValueError if no rest-of-world location keeps mu_overall or check_locations fails.
+    Raises ValueError if check_configurations rejects it or ps.mu0 does not exist.
     """
     demo, mu = APPENDIX_DEMO, APPENDIX_DEMO["mu"]
     ps = ParameterSet(mu1=mu, mu2=mu, p1=demo["sample1_size"] / demo["world_size"],
                       p2=demo["sample2_size"] / demo["world_size"], n_world=demo["world_size"],
                       sigma=sigma, mu_overall=mu_overall, replicates=replicates)
-    rest = rest_of_world_location(mu_overall, mu, mu, ps.p1, ps.p2)
-    check_locations(min(mu, rest), max(mu, rest), sigma, replicates * ps.n_world)
+    check_configurations([ps], [mu, ps.mu0])
     return ps
 
 
-def appendix_demo(sigma: float = 1.0, mu_overall: float = 1.0, replicates: int = 1000,
-                  seed: int = 0) -> DemoReport:
+def appendix_demo(ps: ParameterSet, seed: int) -> DemoReport:
     """Replicated two-country run with identical locations but unequal sizes.
 
-    The configuration is appendix_config's.  Both countries draw from the
+    ps is appendix_config's configuration.  Both countries draw from the
     same distribution; per replicate the top-1% share of each country is
     recorded (full proportional tie credit, same pipeline as the sweeps).
     Reports the two share means, Mann-Whitney and KS p values, and each
     country's fraction of replicates with no top-1% credit at all.
     """
-    ps = appendix_config(sigma, mu_overall, replicates)
     share1, share2 = replicate_statistics(ps, seed)[:, 2]  # the top-1% row
-    mw = mann_whitney_u(share1, share2)
-    ks = ks_two_sample(share1, share2)
     return DemoReport(
         mean1=float(share1.mean()),
         mean2=float(share2.mean()),
-        mw_p=mw.p,
-        ks_p=ks.p,
+        mw_p=mann_whitney_u(share1, share2).p,
+        ks_p=ks_two_sample(share1, share2).p,
         zero_prop1=float((share1 == 0.0).mean()),
         zero_prop2=float((share2 == 0.0).mean()),
     )

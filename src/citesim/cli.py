@@ -74,10 +74,15 @@ class RunConfig:
 
     @cached_property
     def grid(self) -> list:
-        """The sweep's configurations, built and checked once (generate_grid)."""
-        return generate_grid(mu_values=self.mu_values, p_values=self.p_values,
-                             n_values=self.n_values, sigma=self.sigma,
-                             mu_overall=self.mu_overall, replicates=self.replicates)
+        """The configurations the run samples, built and checked once: the sweep's
+        grid (generate_grid), the appendix demo's one (appendix_config), or none."""
+        if self.mode == "sweep":
+            return generate_grid(mu_values=self.mu_values, p_values=self.p_values,
+                                 n_values=self.n_values, sigma=self.sigma,
+                                 mu_overall=self.mu_overall, replicates=self.replicates)
+        if self.mode == "appendix":
+            return [appendix_config(self.sigma, self.mu_overall, self.replicates)]
+        return []
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -89,10 +94,7 @@ class RunConfig:
         if self.threads < 0:
             raise ConfigError("threads: must be >= 0 (0 selects every CPU this process may use)")
         try:
-            if self.mode == "sweep":
-                self.grid  # built and checked once, and _execute runs it
-            elif self.mode == "appendix":
-                appendix_config(self.sigma, self.mu_overall, self.replicates)
+            self.grid  # built and checked once, and _execute runs it
         except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from None
         if self.output_dir.exists() and not self.output_dir.is_dir():
@@ -208,21 +210,19 @@ def _write_csv(path: Path, header, rows=(), text=()) -> None:
         handle.writelines(text)
 
 
-def emit_reports(summaries, config: RunConfig, outdir: Path) -> dict:
-    """Write every sweep artifact from the summaries; returns {artifact: path}."""
+def emit_reports(summaries, config: RunConfig) -> dict:
+    """Write every sweep artifact from the summaries to config.output_dir, which
+    must exist; returns {artifact: path}."""
     table1, table2 = summarize(summaries)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = config.output_dir
     written = {"table1": outdir / "table1.csv", "table2": outdir / "table2.csv",
                "figure1": outdir / "figure1.csv", "records": outdir / "records.jsonl"}
     try:
-        # summarize built both tables in the order they are written.
+        # summarize built both tables as their rows, in the order they are written.
         _write_csv(written["table1"], ["N", "indicator", "count", "percent"],
-                   [[n_world, name, cell.count, cell.percent]
-                    for (n_world, name), cell in table1.items()])
+                   [[*key, *cell] for key, cell in table1.items()])
         _write_csv(written["table2"], ["indicator", "limit_side", "N", "min", "max", "mean", "sd"],
-                   [[name, side, n_world, _fmt(row.minimum), _fmt(row.maximum), _fmt(row.mean),
-                     _fmt(row.sd)] for (name, side, n_world), row in table2.items()])
+                   [[*key, *map(_fmt, row)] for key, row in table2.items()])
         # Each summary's lines were encoded where it ran (ConfigSummary.encoded).
         encoded = [summary.encoded for summary in summaries]
         _write_csv(written["figure1"], ["mu1", "mu2", "p1", "p2", "N", "indicator", "similarity"],
@@ -296,10 +296,8 @@ def _execute(config: RunConfig) -> None:
         return
 
     if config.mode == "appendix":
-        report = appendix_demo(sigma=config.sigma, mu_overall=config.mu_overall,
-                               replicates=config.replicates, seed=config.master_seed)
-        payload = asdict(report)
-        payload.update({"replicates": config.replicates, "master_seed": config.master_seed})
+        payload = {**asdict(appendix_demo(config.grid[0], config.master_seed)),
+                   "replicates": config.replicates, "master_seed": config.master_seed}
         path = outdir / "appendix.json"
         path.write_text(json.dumps(payload, indent=2) + "\n")
         _write_manifest(outdir, {**_run_inputs(config), **APPENDIX_DEMO})
@@ -309,7 +307,7 @@ def _execute(config: RunConfig) -> None:
     log.info("running %d configurations, %d replicates each (%.3g draws total)",
              len(config.grid), config.replicates, total_draws(config.grid))
     written = emit_reports(run_sweep(config.grid, config.master_seed, processes=config.threads),
-                           config, outdir)
+                           config)
     for name, path in sorted(written.items()):
         log.info("wrote %s", path)
 

@@ -33,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .distribution import (check_locations, count_table, rest_of_world_location,
-                           sample_histograms, table_top)
+from .distribution import (MAX_TABLE_TOP, TABLE_TAIL_MASS, _upper_tail, check_locations,
+                           count_table, rest_of_world_location, sample_histograms, table_top)
 from .indicators import TOP_SHARES, tie_credit
 from .intervals import empirical_limits, formula_limits, limit_discrepancies, similarities
 
@@ -45,10 +45,9 @@ __all__ = [
     "ParameterSet",
     "REPLICATE_STATISTICS",
     "ConfigSummary",
-    "Table1Cell",
-    "Table2Row",
     "derive_seed",
     "generate_grid",
+    "check_configurations",
     "total_draws",
     "replicate_statistics",
     "run_config",
@@ -74,6 +73,8 @@ DEFAULT_N_VALUES = (500, 1000, 5000, 10000, 50000)
 # per configuration, drawing group histograms a block of replicates at a time.
 STREAM_VERSION = 2
 REPLICATE_BLOCK = 64  # bounds the histogram arrays held at once
+# The most values a run may expect in one array (check_configurations).
+MAX_ARRAY_VALUES = 2**27
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,8 @@ class ParameterSet:
         if self.replicates < 1:
             raise ValueError(f"replicates must be positive, got {self.replicates}")
 
-    def country_sizes(self) -> tuple[int, int, int]:
+    @cached_property
+    def sizes(self) -> tuple[int, int, int]:
         """Article counts (country1, country2, rest); shares are rounded
         half-up, which never engages on the default grid.
 
@@ -128,6 +130,11 @@ class ParameterSet:
                 f"{n1} and {n2} (p1={self.p1:g}, p2={self.p2:g}, N={self.n_world})"
             )
         return n1, n2, self.n_world - n1 - n2
+
+    @cached_property
+    def mu0(self) -> float:
+        """The rest of the world's location (rest_of_world_location); ValueError if none exists."""
+        return rest_of_world_location(self.mu_overall, self.mu1, self.mu2, self.p1, self.p2)
 
 
 _FORMULA_INDEX = {name: k for k, name in enumerate(FORMULA_INDICATOR_NAMES)}
@@ -267,8 +274,8 @@ def generate_grid(
     least two locations.  The smallest and the largest shares at the smallest
     world bound the country sizes and p1 + p2.  The first configuration is the
     least demanding rest-of-world solve: if it is infeasible, so is every one.
-    check_locations bounds the grid's locations and every rest location solved,
-    over the draws of the configurations kept.
+    check_configurations bounds the grid's locations and every rest location
+    solved, over the configurations kept.
     """
     mu_values = DEFAULT_MU_VALUES if mu_values is None else tuple(mu_values)
     p_values = DEFAULT_P_VALUES if p_values is None else tuple(p_values)
@@ -284,26 +291,46 @@ def generate_grid(
     if len(mu_values) < 2:
         raise ValueError("mu_values: need at least two locations to form mu1 < mu2")
     for share in (p_values[0], p_values[-1]):
-        ParameterSet(*mu_values[:2], share, share, int(n_values[0]), sigma,
-                     mu_overall).country_sizes()
+        ParameterSet(*mu_values[:2], share, share, int(n_values[0]), sigma, mu_overall).sizes
 
     sets: list[ParameterSet] = []
     locations = list(mu_values)
     for (mu1, mu2), p1, p2 in itertools.product(itertools.combinations(mu_values, 2),
                                                 p_values, p_values):
+        row = [ParameterSet(mu1, mu2, p1, p2, int(n_world), sigma, mu_overall, replicates,
+                            config_index=len(sets) + k) for k, n_world in enumerate(n_values)]
         try:
-            locations.append(rest_of_world_location(mu_overall, mu1, mu2, p1, p2))
+            mu0 = row[0].mu0
         except ValueError as exc:
             if not sets:
                 raise ValueError(f"grid contains no feasible configurations: {exc}") from None
             log.warning("skipping infeasible configuration mu1=%g mu2=%g p1=%g p2=%g: %s",
                         mu1, mu2, p1, p2, exc)
             continue
-        for n_world in n_values:
-            sets.append(ParameterSet(mu1, mu2, p1, p2, int(n_world), sigma,
-                                     mu_overall, replicates, config_index=len(sets)))
-    check_locations(min(locations), max(locations), sigma, total_draws(sets))
+        for ps in row[1:]:  # one solve per (pair, shares), cached on every world size
+            ps.__dict__["mu0"] = mu0
+        locations.append(mu0)
+        sets += row
+    check_configurations(sets, locations)
     return sets
+
+
+def check_configurations(sets, locations) -> None:
+    """Raise ValueError unless configurations at one sigma can run: check_locations
+    over the locations and the sets' draws, and no array beyond MAX_ARRAY_VALUES:
+    neither the (2, 6, R) statistics nor the values the largest group expects above
+    its count table in a block, whose lumped cell holds at most TABLE_TAIL_MASS or,
+    in a table that MAX_TABLE_TOP cuts short, the mass beyond it at the highest location.
+    """
+    sigma, high = sets[0].sigma, max(locations)
+    check_locations(min(locations), high, sigma, total_draws(sets))
+    replicates = max(ps.replicates for ps in sets)
+    group = max(max(ps.sizes) for ps in sets)
+    lumped = max(TABLE_TAIL_MASS, float(_upper_tail(MAX_TABLE_TOP + 0.5, high, sigma)))
+    largest = max(2 * len(REPLICATE_STATISTICS) * replicates, REPLICATE_BLOCK * group * lumped)
+    if not largest <= MAX_ARRAY_VALUES:
+        raise ValueError(f"{replicates} replicates of groups up to {group} articles expect an "
+                         f"array of {largest:.3g} values, beyond {MAX_ARRAY_VALUES}")
 
 
 def total_draws(param_sets) -> int:
@@ -315,11 +342,10 @@ def _world_blocks(ps: ParameterSet, master_seed: int):
     """Yield (start, table_end, draws) for each block of REPLICATE_BLOCK
     replicates from the configuration's one stream: draws holds the
     sample_histograms (hist, tail) of country 1, country 2 and the rest."""
-    locations = (ps.mu1, ps.mu2,
-                 rest_of_world_location(ps.mu_overall, ps.mu1, ps.mu2, ps.p1, ps.p2))
+    locations = (ps.mu1, ps.mu2, ps.mu0)
     table_end = table_top(max(locations), ps.sigma)
     tables = count_table(mu=locations, sigma=ps.sigma, top=table_end)
-    groups = list(zip(locations, tables, ps.country_sizes()))
+    groups = list(zip(locations, tables, ps.sizes))
     rng = np.random.default_rng(derive_seed(master_seed, ps.config_index))
     for start in range(0, ps.replicates, REPLICATE_BLOCK):
         size = min(REPLICATE_BLOCK, ps.replicates - start)
@@ -370,7 +396,7 @@ def replicate_statistics(ps: ParameterSet, master_seed: int) -> np.ndarray:
     share's q; a block where it is not has a cutoff among the tail values
     and takes its credits from _value_axis.
     """
-    n1, n2, _ = ps.country_sizes()
+    n1, n2, _ = ps.sizes
     sizes = np.array([[n1], [n2]])
     shares = np.array(TOP_SHARES)[:, None]  # broadcasts against the replicates
     values = np.empty((2, len(REPLICATE_STATISTICS), ps.replicates))
@@ -418,7 +444,7 @@ def run_config(ps: ParameterSet, master_seed: int) -> ConfigSummary:
     The t and normal quantiles are taken once, for both countries.
     """
     values = replicate_statistics(ps, master_seed)
-    sizes = np.array(ps.country_sizes()[:2])
+    sizes = np.array(ps.sizes[:2])
     means = values.sum(axis=-1) / ps.replicates  # np.mean, bit for bit
     # The geometric mean's model interval is on the ln(1 + c) scale.
     limits = empirical_limits(values[:, :len(INDICATOR_NAMES)])
@@ -487,47 +513,26 @@ def run_sweep(param_sets, master_seed: int, processes: int = 1) -> list[ConfigSu
     return results
 
 
-@dataclass(frozen=True)
-class Table1Cell:
-    """Configurations whose similarity score fell below 1, out of total."""
-
-    count: int
-    total: int
-
-    @property
-    def percent(self) -> int:
-        return int(math.floor(100.0 * self.count / self.total + 0.5))
-
-
-@dataclass(frozen=True)
-class Table2Row:
-    """Distribution of formula-vs-model discrepancies over configurations."""
-
-    minimum: float
-    maximum: float
-    mean: float
-    sd: float
-    n: int
-
-
 def summarize(records) -> tuple[dict, dict]:
     """Fold per-configuration summaries into the report tables (table1, table2).
 
-    table1 maps (n_world, indicator) to a similarity-below-1 count; table2
-    maps (indicator, side, n_world) to statistics of the configurations'
+    Each table maps its CSV file's key columns to its value columns, in the
+    order the file lists them: by N, indicator and limit side.  table1 maps
+    (n_world, indicator) to (count, percent) of the configurations whose
+    similarity fell below 1, the percent rounded half-up.  table2 maps
+    (indicator, side, n_world) to (min, max, mean, sd) of the configurations'
     two-country mean discrepancies, NaNs (degenerate modelled intervals)
-    skipped.  Both are in the order of table1.csv and table2.csv: by N,
-    indicator and limit side; a table2 row with no value is absent.
+    skipped; a row with no value is absent.
     """
     n_values = sorted({r.params.n_world for r in records})
 
-    table1: dict[tuple[int, str], Table1Cell] = {}
-    table2: dict[tuple[str, str, int], Table2Row] = {}
+    table1: dict[tuple[int, str], tuple[int, int]] = {}
+    table2: dict[tuple[str, str, int], tuple[float, float, float, float]] = {}
     for n_world in n_values:
         rows = [r for r in records if r.params.n_world == n_world]
         hits = np.count_nonzero(np.array([r.similarity for r in rows]) < 1.0, axis=0)
         for name, count in zip(INDICATOR_NAMES, hits.tolist()):
-            table1[(n_world, name)] = Table1Cell(count, len(rows))
+            table1[(n_world, name)] = count, int(math.floor(100.0 * count / len(rows) + 0.5))
         # A configuration's value is the mean of its countries' non-NaN
         # discrepancies, sum(pair) / len(pair); it has none when both are NaN.
         disc = np.array([r.discrepancy for r in rows])
@@ -540,11 +545,7 @@ def summarize(records) -> tuple[dict, dict]:
                 arr = pairs[:, k, side_index][counts > 0] / counts[counts > 0]
                 if not arr.size:
                     continue
-                table2[(name, side, n_world)] = Table2Row(
-                    minimum=float(arr.min()),
-                    maximum=float(arr.max()),
-                    mean=float(arr.mean()),
-                    sd=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-                    n=arr.size,
-                )
+                table2[(name, side, n_world)] = (
+                    float(arr.min()), float(arr.max()), float(arr.mean()),
+                    float(arr.std(ddof=1)) if arr.size > 1 else 0.0)
     return table1, table2

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from citesim.appendix_stats import appendix_demo, rank_sums_from_frequency, table4_example
+from citesim.appendix_stats import (appendix_config, appendix_demo, rank_sums_from_frequency,
+                                    table4_example)
 from citesim.cli import main
 from citesim.distribution import count_table, rest_of_world_location, sample_histograms, table_top
 from citesim.experiment import (
@@ -122,14 +123,14 @@ def test_criterion_05_desk_scale_ordering_and_reference_counts(n5000_r1000_table
     grid = generate_grid(n_values=(5000,), replicates=200)
     desk_table1, _ = summarize(run_sweep(grid, MASTER_SEED, processes=1))
     elapsed = time.perf_counter() - start
-    counts = {name: desk_table1[(5000, name)].count for name in INDICATOR_NAMES}
+    counts = {name: desk_table1[(5000, name)][0] for name in INDICATOR_NAMES}
     assert (
         counts["geo"] > counts["top50"] > counts["arith"] > counts["top10"] > counts["top1"]
     ), counts
     assert elapsed < 900.0
 
     full = {
-        name: n5000_r1000_tables[0][(5000, name)].count for name in INDICATOR_NAMES
+        name: n5000_r1000_tables[0][(5000, name)][0] for name in INDICATOR_NAMES
     }
     for name, reference in REFERENCE_COUNTS_N5000.items():
         if name == "top1":
@@ -149,20 +150,20 @@ def test_criterion_06_geometric_interval_accuracy(n500_r1000_tables, n5000_r1000
     checked = []
     for n_world, (_, table2) in ((500, n500_r1000_tables), (5000, n5000_r1000_tables)):
         for side in ("lower", "upper"):
-            row = table2[("geo", side, n_world)]
-            assert -0.02 <= row.mean <= 0.03, (n_world, side, row.mean)
-            assert abs(row.minimum) <= 0.12, (n_world, side, row.minimum)
-            assert abs(row.maximum) <= 0.12, (n_world, side, row.maximum)
-            checked.append(f"N={n_world} {side} mean {row.mean:+.3f}")
+            minimum, maximum, mean, _ = table2[("geo", side, n_world)]
+            assert -0.02 <= mean <= 0.03, (n_world, side, mean)
+            assert abs(minimum) <= 0.12, (n_world, side, minimum)
+            assert abs(maximum) <= 0.12, (n_world, side, maximum)
+            checked.append(f"N={n_world} {side} mean {mean:+.3f}")
     _pass(6, "log-scale geometric discrepancies in band: " + "; ".join(checked))
 
 
 def test_criterion_07_percentile_interval_conservatism(n500_r1000_tables):
     _, table2 = n500_r1000_tables
-    top1_lower = table2[("top1", "lower", 500)].mean
-    top50_lower = table2[("top50", "lower", 500)].mean
+    top1_lower = table2[("top1", "lower", 500)][2]  # rows are (min, max, mean, sd)
+    top50_lower = table2[("top50", "lower", 500)][2]
     worst_upper_min = min(
-        table2[(name, "upper", 500)].minimum for name in ("top1", "top10", "top50")
+        table2[(name, "upper", 500)][0] for name in ("top1", "top10", "top50")
     )
     assert top1_lower >= 0.25, top1_lower
     assert top1_lower > top50_lower, (top1_lower, top50_lower)
@@ -176,7 +177,7 @@ def test_criterion_07_percentile_interval_conservatism(n500_r1000_tables):
 
 def test_criterion_08_unequal_size_pathology():
     start = time.perf_counter()
-    report = appendix_demo(replicates=1000, seed=MASTER_SEED)
+    report = appendix_demo(appendix_config(replicates=1000), MASTER_SEED)
     elapsed = time.perf_counter() - start
     assert abs(report.mean1 - report.mean2) < 0.005
     assert report.mw_p < 0.001

@@ -8,6 +8,7 @@ from scipy import stats as sps
 
 from citesim.appendix_stats import (
     FrequencyTable,
+    appendix_config,
     appendix_demo,
     ks_two_sample,
     mann_whitney_u,
@@ -165,11 +166,12 @@ class TestKolmogorovSmirnov:
 
 class TestDemo:
     def test_quick_run_shows_the_pathology(self):
-        report = appendix_demo(replicates=300, seed=5)
+        report = appendix_demo(appendix_config(replicates=300), 5)
         assert abs(report.mean1 - report.mean2) < 0.01
         assert report.mw_p < 0.01
         assert report.ks_p < 0.01
         assert report.zero_prop2 > report.zero_prop1
 
     def test_deterministic(self):
-        assert appendix_demo(replicates=100, seed=9) == appendix_demo(replicates=100, seed=9)
+        ps = appendix_config(replicates=100)
+        assert appendix_demo(ps, 9) == appendix_demo(ps, 9)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import citesim
 from citesim import cli, experiment, intervals
+from citesim.appendix_stats import appendix_config
 from citesim.cli import ConfigError, RunConfig, _build_parser, emit_reports, main, parse_config
 from citesim.distribution import count_table, rest_of_world_location, table_top
 from citesim.experiment import (
@@ -180,7 +181,7 @@ class TestSurface:
             intervals.empirical_limits: ["stats"],
             intervals.formula_limits: ["centres", "log_sd", "n"],
             experiment.summarize: ["records"],
-            emit_reports: ["summaries", "config", "outdir"],
+            emit_reports: ["summaries", "config"],
         }
         for function, names in signatures.items():
             assert list(inspect.signature(function).parameters) == names, function.__name__
@@ -236,7 +237,7 @@ def synthetic_summaries():
 
 class TestEmitReports:
     def test_table_shapes_for_standard_grid(self, tmp_path):
-        written = emit_reports(synthetic_summaries(), RunConfig(), tmp_path)
+        written = emit_reports(synthetic_summaries(), RunConfig(output_dir=tmp_path))
         table1 = read_csv(written["table1"])
         assert table1[0] == ["N", "indicator", "count", "percent"]
         assert len(table1) - 1 == 25  # 5 sizes x 5 indicators
@@ -248,7 +249,8 @@ class TestEmitReports:
         assert len(written["records"].read_text().splitlines()) == 5
 
     def test_manifest_contents(self, tmp_path):
-        written = emit_reports(synthetic_summaries(), RunConfig(master_seed=17), tmp_path)
+        written = emit_reports(synthetic_summaries(),
+                               RunConfig(master_seed=17, output_dir=tmp_path))
         manifest = json.loads(written["manifest"].read_text())
         assert manifest["master_seed"] == 17
         assert manifest["n_values"] == list(ALL_N)
@@ -537,6 +539,9 @@ class TestExitCodes:
         ["--mu-overall", "0", "--mu-values", "0", "0.5", "--p-values", "0.25", "0.375", "0.4",
          "--n-values", "200", "--sigma", "0.0625", "--replicates", "40"],
         ["--n-values", str(10**400)],
+        ["--n-values", "1000000000000"],
+        ["--n-values", str(2**63)],
+        ["--replicates", "1000000000000"],
     ], ids=["zero-world", "shares-over-one", "negative-share", "one-article-country",
             "single-location", "no-feasible-configuration", "infinite-sigma",
             "overall-location-overflows", "country-location-overflows",
@@ -544,12 +549,19 @@ class TestExitCodes:
             "appendix-counts-beyond-2-53", "overall-location-beyond-2-53",
             "count-table-without-mass", "table-top-without-mass",
             "corner-rest-location-without-mass", "inner-rest-location-without-mass",
-            "world-size-beyond-float"])
+            "world-size-beyond-float", "world-size-beyond-memory", "world-size-2-63",
+            "replicates-beyond-memory"])
     def test_invalid_grid_is_config_error(self, argv, tmp_path, capsys):
         # exit 1 comes only from parse_config, before anything is sampled
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_world_within_the_memory_bound_is_accepted(self, tmp_path):
+        # A block expects 64 x 0.9e10 x 1e-4 values above the count table, under 2**27.
+        config = parse_config(["--n-values", "10000000000", "--replicates", "40",
+                               "--out", str(tmp_path / "out")])
+        assert {ps.n_world for ps in config.grid} == {10**10}
 
     @pytest.mark.parametrize("argv, artifact", [
         (["appendix", "--n-values", "0", "--replicates", "40"], "appendix.json"),
@@ -588,12 +600,19 @@ class TestExitCodes:
                          "--n-values", "100", "--replicates", "40", "--threads", "1",
                          "--out", str(tmp_path)])
         assert code == 0 and len(calls) == 1
-        # One solve per (pair, shares) to build the grid, one per configuration run.
-        assert len(solves) == 3 + 2
+        # One solve per (pair, shares) to build the grid, and none again in the run.
+        assert len(solves) == 3
         skipped = [rec.getMessage() for rec in caplog.records
                    if rec.getMessage().startswith("skipping infeasible configuration")]
         assert skipped == [skipped[0]] and "mu1=1 mu2=2.11" in skipped[0]
         assert len((tmp_path / "records.jsonl").read_text().splitlines()) == 2
+
+    def test_appendix_builds_its_configuration_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "appendix_config",
+                            lambda *args: calls.append(args) or appendix_config(*args))
+        assert main(["appendix", "--replicates", "40", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_grid_without_feasible_configuration_names_the_solver(self, tmp_path, capsys,
                                                                   caplog):

@@ -70,7 +70,7 @@ class TestParameterSet:
 
     def test_country_sizes_on_grid(self):
         ps = ParameterSet(mu1=0.9, mu2=1.0, p1=0.05, p2=0.25, n_world=500)
-        assert ps.country_sizes() == (25, 125, 350)
+        assert ps.sizes == (25, 125, 350)
 
     def test_share_validation_delegated(self):
         with pytest.raises(ValueError):
@@ -134,6 +134,40 @@ class TestGrid:
         with pytest.raises(ValueError, match="no feasible configurations"):
             generate_grid(mu_values=(0.9, 2.5), p_values=(0.25,), n_values=(500,))
 
+    def test_one_solve_per_pair_and_shares(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(experiment, "rest_of_world_location",
+                            lambda *args: solves.append(args) or rest_of_world_location(*args))
+        grid = generate_grid(mu_values=(0.9, 1.0, 1.1), p_values=(0.1, 0.2),
+                             n_values=(100, 500, 1000), replicates=40)
+        assert [ps.mu0 for ps in grid] == [
+            rest_of_world_location(1.0, ps.mu1, ps.mu2, ps.p1, ps.p2) for ps in grid]
+        assert len(solves) == 3 * 2 * 2  # (pairs, p1, p2), each solved once for its 3 sizes
+
+    def test_memory_bound_edge(self, monkeypatch):
+        # Validation alone: nothing is sampled on either side of the edge.
+        monkeypatch.setattr(experiment, "sample_histograms", None)
+        grid = {"mu_values": (0.9, 1.0), "p_values": (0.1,)}
+        most = experiment.MAX_ARRAY_VALUES // (2 * len(REPLICATE_STATISTICS))
+        generate_grid(**grid, n_values=(500,), replicates=most)
+        with pytest.raises(ValueError, match="beyond"):
+            generate_grid(**grid, n_values=(500,), replicates=most + 1)
+        # At sigma 1 the lumped cell holds TABLE_TAIL_MASS, and the rest of the
+        # world (80%) is the largest group: 64 x 0.8 N x 1e-4 values per block
+        # reach 2**27 at N = 26,214,400,000.
+        generate_grid(**grid, n_values=(26_214_390_000,), replicates=40)
+        with pytest.raises(ValueError, match="beyond"):
+            generate_grid(**grid, n_values=(26_214_410_000,), replicates=40)
+
+    def test_memory_bound_takes_the_mass_beyond_a_cut_table(self):
+        # At sigma 3 the count table stops at MAX_TABLE_TOP with about 1% of
+        # the mass beyond it, not 1e-4.
+        grid = {"mu_values": (0.9, 1.0), "p_values": (0.1,), "n_values": (300_000_000,),
+                "replicates": 40}
+        generate_grid(**grid)
+        with pytest.raises(ValueError, match="beyond"):
+            generate_grid(**grid, sigma=3.0)
+
 
 class TestDeriveSeed:
     def test_deterministic(self):
@@ -182,7 +216,7 @@ class TestReplicateStatistics:
         monkeypatch.setattr(experiment, "_value_axis",
                             lambda *args: exact_blocks.append(args) or value_axis(*args))
         stats = replicate_statistics(ps, master_seed=7)
-        n1, n2, n0 = ps.country_sizes()
+        n1, n2, n0 = ps.sizes
         membership = np.repeat([COUNTRY_1, COUNTRY_2, REST], [n1, n2, n0])
         # Top-1% cutoffs among the counts drawn above the count table, which
         # the heavy tail must reach.
@@ -214,7 +248,7 @@ class TestReplicateStatistics:
         # whole reduction once was: integer sums and credits agree exactly,
         # the ln(1 + c) sums only to rounding, being summed in another order.
         stats = replicate_statistics(ps, master_seed=7)
-        sizes = np.array(ps.country_sizes()[:2])[:, None]
+        sizes = np.array(ps.sizes[:2])[:, None]
         for start, table_end, draws in experiment._world_blocks(ps, 7):
             hists = experiment._value_axis(table_end, draws)
             tails = np.concatenate([tail for _, tail in draws]) - 1
@@ -314,7 +348,7 @@ class TestReplicateStatistics:
         # the ln(1+c) mean/sd stored per replicate must reproduce the
         # public t-interval op on that replicate's counts
         stats = replicate_statistics(SMALL, master_seed=7)
-        n1 = SMALL.country_sizes()[0]
+        n1 = SMALL.sizes[0]
         y = np.log1p(replicate_world(SMALL, 7, 0)[:n1])
         lower, upper = formula_limits([float(y.mean())], float(y.std(ddof=1)), n1)[0]
         t_q = sps.t.ppf(0.975, n1 - 1)
@@ -340,7 +374,7 @@ class TestRunConfig:
         stats = replicate_statistics(ps, master_seed=7)
         series = {name: stats[:, ROW["log_mean" if name == "geo" else name]]
                   for name in INDICATOR_NAMES}
-        sizes = ps.country_sizes()[:2]
+        sizes = ps.sizes[:2]
         empirical = {}
         for i, n in enumerate(sizes):
             for j, name in enumerate(INDICATOR_NAMES):
@@ -501,33 +535,30 @@ class TestSummarize:
         sims = {name: 1.2 for name in INDICATOR_NAMES}
         sims["geo"] = 0.99
         table1, _ = summarize([fake_summary(500, sims)])
-        assert table1[(500, "geo")].count == 1
-        assert table1[(500, "arith")].count == 0
-        assert table1[(500, "geo")].total == 1
+        assert table1[(500, "geo")] == (1, 100)
+        assert table1[(500, "arith")] == (0, 0)
 
     def test_discrepancy_statistics(self):
         rows = [
             fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(0.2, 0.0)),
             fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(0.4, 0.1)),
         ]
-        cell = summarize(rows)[1][("geo", "lower", 500)]
-        assert cell.mean == pytest.approx(0.3)
-        assert (cell.minimum, cell.maximum) == (0.2, 0.4)
-        assert cell.sd == pytest.approx(np.std([0.2, 0.4], ddof=1))
-        assert cell.n == 2
+        minimum, maximum, mean, sd = summarize(rows)[1][("geo", "lower", 500)]
+        assert mean == pytest.approx(0.3)
+        assert (minimum, maximum) == (0.2, 0.4)
+        assert sd == pytest.approx(np.std([0.2, 0.4], ddof=1))
 
     def test_nan_discrepancies_skipped(self):
         rows = [
             fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(math.nan, math.nan)),
             fake_summary(500, {n: 0.5 for n in INDICATOR_NAMES}, discrepancy=(0.4, 0.1)),
         ]
-        cell = summarize(rows)[1][("geo", "lower", 500)]
-        assert cell.mean == pytest.approx(0.4)
-        assert cell.n == 1
+        minimum, maximum, mean, sd = summarize(rows)[1][("geo", "lower", 500)]
+        assert (minimum, maximum, sd) == (0.4, 0.4, 0.0)
+        assert mean == pytest.approx(0.4)
 
     def test_percent_rounding(self):
         sims_hit = {name: 0.5 for name in INDICATOR_NAMES}
         sims_miss = {name: 1.5 for name in INDICATOR_NAMES}
         rows = [fake_summary(500, sims_hit)] + [fake_summary(500, sims_miss)] * 2
-        cell = summarize(rows)[0][(500, "geo")]
-        assert (cell.count, cell.total, cell.percent) == (1, 3, 33)
+        assert summarize(rows)[0][(500, "geo")] == (1, 33)
